@@ -50,13 +50,10 @@ from .potentials import (
 )
 from .stattherm import (
     PHI_STAR,
-    StatState,
     bracket,
     entropy,
     entropy_maximum,
-    evaluate_state,
     inverse_temperature,
-    thermal_energy,
 )
 from .times import (
     TimesReport,
@@ -103,7 +100,6 @@ from .wkb import (
     classical_time,
     compute_wkb,
     dphi_dE,
-    momentum_magnitude,
 )
 
 __version__ = "0.1.0"

@@ -144,8 +144,10 @@ def cmd_times(args, parser) -> int:
     _print_kv("phi", report.phi)
     _print_kv("p_t_used", report.p_t_used)
     _print_kv("p_t_wkb", pt_wkb(report.phi))
-    if isinstance(barrier, Rectangular):
-        _print_kv("p_t_exact", pt_rectangular_exact(problem.energy, barrier.v0, report.phi))
+    if report.phase_time is not None:
+        # only the rectangular barrier has phase and dwell times; its report
+        # carries the exact transmission
+        _print_kv("p_t_exact", report.p_t_used)
     _print_kv("tau_c_au", report.tau_c)
     _print_kv("tau_c_as", to_attoseconds(report.tau_c))
     _print_kv("tau_c_fs", to_femtoseconds(report.tau_c))

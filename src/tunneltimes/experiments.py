@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import DomainError, OverBarrier
 from .potentials import CLEMENTI, KULLIE, SAE, LaserCoulomb, ZeffModel
-from .times import ett_he, ett_rectangular, tau_c_rectangular
+from .times import ett_rectangular, tau_c_rectangular, times_report
 from .turning import resolve_problem
 from .units import angstrom_to_au, ev_to_au, to_attoseconds, to_femtoseconds
-from .wkb import QUAD_TOL_DEFAULT, compute_wkb
+from .wkb import QUAD_TOL_DEFAULT
 
 __all__ = [
     "HE_ENERGY_AU",
@@ -116,16 +116,15 @@ def run_table1(quad_tol: float = QUAD_TOL_DEFAULT):
         for field in (0.04, 0.11):
             barrier = LaserCoulomb(field, HE_MODELS[name])
             problem = resolve_problem(barrier, HE_ENERGY_AU)
-            quantities = compute_wkb(problem, quad_tol)
-            ett = ett_he(quantities.tau_c, quantities.phi)
+            report = times_report(problem, quad_tol)
             rows.append(
                 Table1Row(
                     model=name,
                     field=field,
                     x_L=problem.x_left,
                     x_R=problem.x_right,
-                    tau_c_as=to_attoseconds(quantities.tau_c),
-                    ett_as=to_attoseconds(ett),
+                    tau_c_as=to_attoseconds(report.tau_c),
+                    ett_as=to_attoseconds(report.ett),
                 )
             )
     return rows
@@ -147,7 +146,8 @@ def he_scan(
     omega: Optional[float] = None,
     quad_tol: float = QUAD_TOL_DEFAULT,
 ):
-    """Scan the laser field for each effective-charge model.
+    """Scan the laser field for each effective-charge model through
+    times_report.
 
     Points where the energy is not below the barrier maximum are skipped
     with a logged warning rather than failing the whole scan.
@@ -172,8 +172,7 @@ def he_scan(
             except OverBarrier as exc:
                 logger.warning("skipping model=%s field=%.6g: %s", name, field, exc)
                 continue
-            quantities = compute_wkb(problem, quad_tol)
-            ett = ett_he(quantities.tau_c, quantities.phi)
+            report = times_report(problem, quad_tol)
             gamma = (
                 keldysh_gamma(omega, -energy, field)
                 if omega is not None
@@ -183,11 +182,11 @@ def he_scan(
                 ScanPoint(
                     field=field,
                     model=name,
-                    ett_as=to_attoseconds(ett),
-                    tau_c_as=to_attoseconds(quantities.tau_c),
+                    ett_as=to_attoseconds(report.ett),
+                    tau_c_as=to_attoseconds(report.tau_c),
                     exp_width=abs(energy) / field,
                     true_width=problem.width,
-                    phi=quantities.phi,
+                    phi=report.phi,
                     keldysh_gamma=gamma,
                 )
             )
@@ -208,8 +207,10 @@ def et_scan(
 
     For each (delta_e_eff, length) pair a barrier of height
     v0 = E + delta_e_eff is traversed at energy E; the closed-form classical
-    and entropic times are converted to femtoseconds. comparable_flag marks
-    points whose entropic time reaches the 5 fs vibration half-period scale.
+    and entropic times are converted to femtoseconds. The closed forms give
+    the numbers times_report would, without its quadrature. comparable_flag
+    marks points whose entropic time reaches the 5 fs vibration half-period
+    scale.
     """
     if not energy_ev > 0:
         raise DomainError(f"energy must be positive, got {energy_ev} eV")

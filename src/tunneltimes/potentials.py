@@ -3,18 +3,28 @@
 Four barrier shapes cover the use cases: a rectangular box, a right-triangle
 ramp, a laser-dressed Coulomb potential V(x) = -Z_eff(x)/x - F*x on x > 0,
 and a tabulated potential interpolated from samples. Everything is an
-immutable value; evaluation is pure.
+immutable value; evaluation is pure. Each family owns its facts: V(x) as
+``potential``, the maximum as ``peak``, ``turning_points`` through the solver
+that suits it, ``root_brackets`` for the bracketed solver and
+``oracle_slices`` for the transfer-matrix oracle. Effective-charge models are
+callables: ``model(x)`` is Z_eff(x).
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
-from .errors import DomainError, NoPeak
+from .errors import BracketFailure, DomainError, NoPeak
+from .turning import (
+    turning_points_bracketed,
+    turning_points_quadratic,
+    turning_points_selfconsistent,
+)
 
 __all__ = [
     "ConstantZeff",
@@ -36,6 +46,22 @@ __all__ = [
 ]
 
 
+def _check_finite(obj) -> None:
+    """Reject NaN or infinite numeric fields of a family or Z_eff model."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise DomainError(
+                f"{type(obj).__name__}.{f.name} must be finite, got {value}"
+            )
+
+
+def _midpoints(a: float, b: float, slices: int):
+    """Slice width and slice midpoints of [a, b]."""
+    h = (b - a) / slices
+    return h, a + h * (np.arange(slices) + 0.5)
+
+
 @dataclass(frozen=True)
 class ConstantZeff:
     """Position-independent effective nuclear charge."""
@@ -43,8 +69,12 @@ class ConstantZeff:
     z: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.z > 0:
             raise DomainError(f"constant Z_eff must be positive, got {self.z}")
+
+    def __call__(self, x: float) -> float:
+        return self.z
 
 
 @dataclass(frozen=True)
@@ -64,6 +94,17 @@ class SaeZeff:
     a4: float = 1.236
     a5: float = -0.231
     a6: float = 0.480
+
+    def __post_init__(self):
+        _check_finite(self)
+
+    def __call__(self, x: float) -> float:
+        return (
+            self.Z
+            + self.a1 * math.exp(-self.a2 * x)
+            + self.a3 * x * math.exp(-self.a4 * x)
+            + self.a5 * math.exp(-self.a6 * x)
+        )
 
 
 ZeffModel = Union[ConstantZeff, SaeZeff]
@@ -91,14 +132,9 @@ def zeff_model(name: str) -> ZeffModel:
 
 def eval_zeff(model: ZeffModel, x: float) -> float:
     """Evaluate Z_eff at x >= 0."""
-    if isinstance(model, ConstantZeff):
-        return model.z
-    return (
-        model.Z
-        + model.a1 * math.exp(-model.a2 * x)
-        + model.a3 * x * math.exp(-model.a4 * x)
-        + model.a5 * math.exp(-model.a6 * x)
-    )
+    return model(x)
+
+
 
 
 @dataclass(frozen=True)
@@ -113,10 +149,34 @@ class Rectangular:
     length: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.v0 < 0:
             raise DomainError(f"barrier height must be >= 0, got {self.v0}")
         if not self.length > 0:
             raise DomainError(f"barrier length must be positive, got {self.length}")
+
+    def potential(self, x: float) -> float:
+        return self.v0 if 0.0 <= x <= self.length else 0.0
+
+    def peak(self):
+        # any interior point qualifies; the midpoint is returned
+        return 0.5 * self.length, self.v0
+
+    def turning_points(self, energy: float):
+        return turning_points_bracketed(self, energy)
+
+    def root_brackets(self, energy: float, x_peak: float):
+        # V - E changes sign through a jump at the support edges, which are
+        # the exact bisection limits
+        if not energy > 0:
+            raise DomainError(f"energy must lie in (0, v0), got {energy}")
+        return (0.0, 0.0), (self.length, self.length)
+
+    def oracle_slices(self, slices: int):
+        """(support start, slice width, left and right lead levels, V at the
+        slice midpoints) for the transfer-matrix oracle."""
+        h, _ = _midpoints(0.0, self.length, slices)
+        return 0.0, h, 0.0, 0.0, np.full(slices, float(self.v0))
 
 
 @dataclass(frozen=True)
@@ -128,12 +188,39 @@ class Triangular:
     length: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.v0 > 0:
             raise DomainError(f"barrier height must be positive, got {self.v0}")
         if not self.slope > 0:
             raise DomainError(f"slope must be positive, got {self.slope}")
         if not self.length > 0:
             raise DomainError(f"barrier length must be positive, got {self.length}")
+
+    def potential(self, x: float) -> float:
+        return self.v0 - self.slope * x if 0.0 <= x <= self.length else 0.0
+
+    def peak(self):
+        return 0.0, self.v0
+
+    def turning_points(self, energy: float):
+        return turning_points_bracketed(self, energy)
+
+    def root_brackets(self, energy: float, x_peak: float):
+        # the entry is the support edge; the exit is the ramp's linear root
+        # unless the support truncates the ramp first
+        if not energy > 0:
+            raise DomainError(f"energy must lie in (0, v0), got {energy}")
+        x_r = min((self.v0 - energy) / self.slope, self.length)
+        return (0.0, 0.0), (x_r, x_r)
+
+    def oracle_slices(self, slices: int):
+        h, mids = _midpoints(0.0, self.length, slices)
+        return 0.0, h, 0.0, 0.0, self.v0 - self.slope * mids
+
+
+# Bracket for the numeric peak search; every turning-point configuration the
+# experiments reach lies well inside (benchmark roots span [1.2, 21.5] a.u.).
+_PEAK_BRACKET = (0.1, 100.0)
 
 
 @dataclass(frozen=True)
@@ -144,17 +231,65 @@ class LaserCoulomb:
     zeff: ZeffModel
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.field > 0:
             raise DomainError(f"field strength must be positive, got {self.field}")
+
+    def potential(self, x: float) -> float:
+        if x <= 0.0:
+            raise DomainError(f"laser-Coulomb barrier is defined for x > 0, got {x}")
+        z = self.zeff(x)
+        if z <= 0.0:
+            raise DomainError(f"Z_eff({x}) = {z} is not positive")
+        return -z / x - self.field * x
+
+    def peak(self):
+        # constant Z_eff peaks at sqrt(z/field) with value -2*sqrt(z*field);
+        # a position-dependent Z_eff falls back to a bounded numeric search
+        if isinstance(self.zeff, ConstantZeff):
+            z = self.zeff.z
+            return math.sqrt(z / self.field), -2.0 * math.sqrt(z * self.field)
+        res = minimize_scalar(
+            lambda x: -self.potential(x),
+            bounds=_PEAK_BRACKET,
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
+        return float(res.x), -float(res.fun)
+
+    def turning_points(self, energy: float):
+        if isinstance(self.zeff, ConstantZeff):
+            return turning_points_quadratic(self.zeff.z, energy, self.field)
+        return turning_points_selfconsistent(self, energy)
+
+    def _walk_below(self, energy: float, x: float, factor: float) -> float:
+        for _ in range(200):
+            if self.potential(x) < energy:
+                return x
+            x *= factor
+        side = "below" if factor < 1.0 else "above"
+        raise BracketFailure(f"no sign change {side} the barrier peak")
+
+    def root_brackets(self, energy: float, x_peak: float):
+        # V -> -inf as x -> 0+, and as x -> +inf under the field term, so
+        # halving (doubling) away from the peak must find V < E
+        lo = self._walk_below(energy, 0.5 * x_peak, 0.5)
+        hi = self._walk_below(energy, 2.0 * x_peak, 2.0)
+        return (lo, x_peak), (x_peak, hi)
+
+    def oracle_slices(self, slices: int):
+        raise DomainError(
+            "the scattering oracle is not offered for the laser-Coulomb barrier"
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class Tabulated:
     """Barrier interpolated from (x, V) samples.
 
-    At least 8 samples with strictly increasing x are required. Monotone
-    cubic interpolation is used so that no spurious extrema appear between
-    nodes; turning-point solving relies on sign-stable V(x) - E.
+    At least 8 finite samples with strictly increasing x are required.
+    Monotone cubic interpolation is used so that no spurious extrema appear
+    between nodes; turning-point solving relies on sign-stable V(x) - E.
     """
 
     x: np.ndarray
@@ -167,11 +302,49 @@ class Tabulated:
             raise DomainError("samples must be two equal-length 1-D arrays")
         if x.size < 8:
             raise DomainError(f"need at least 8 samples, got {x.size}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise DomainError("samples must be finite")
         if not np.all(np.diff(x) > 0):
             raise DomainError("sample positions must be strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "_interp", PchipInterpolator(x, v, extrapolate=False))
+
+    def potential(self, x: float) -> float:
+        if x < self.x[0] or x > self.x[-1]:
+            raise DomainError(
+                f"x = {x} outside tabulated range [{self.x[0]}, {self.x[-1]}]"
+            )
+        return float(self._interp(x))
+
+    def peak(self):
+        i = int(np.argmax(self.v))
+        if i == 0 or i == self.x.size - 1:
+            raise NoPeak("tabulated potential has no interior maximum")
+        res = minimize_scalar(
+            lambda x: -float(self._interp(x)),
+            bounds=(self.x[i - 1], self.x[i + 1]),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        return float(res.x), -float(res.fun)
+
+    def turning_points(self, energy: float):
+        return turning_points_bracketed(self, energy)
+
+    def root_brackets(self, energy: float, x_peak: float):
+        lo, hi = float(self.x[0]), float(self.x[-1])
+        if self.potential(lo) >= energy or self.potential(hi) >= energy:
+            raise BracketFailure(
+                "tabulated potential does not drop below E at the sample edges"
+            )
+        return (lo, x_peak), (x_peak, hi)
+
+    def oracle_slices(self, slices: int):
+        # flat leads at the edge samples
+        a, b = float(self.x[0]), float(self.x[-1])
+        h, mids = _midpoints(a, b, slices)
+        return a, h, float(self.v[0]), float(self.v[-1]), self._interp(mids)
 
 
 Barrier = Union[Rectangular, Triangular, LaserCoulomb, Tabulated]
@@ -198,41 +371,11 @@ def eval_potential(b: Barrier, x: float) -> float:
         x outside the barrier's domain (x <= 0 for LaserCoulomb, outside the
         sample range for Tabulated). This signals a caller bug, not physics.
     """
-    if isinstance(b, Rectangular):
-        return b.v0 if 0.0 <= x <= b.length else 0.0
-    if isinstance(b, Triangular):
-        return b.v0 - b.slope * x if 0.0 <= x <= b.length else 0.0
-    if isinstance(b, LaserCoulomb):
-        if x <= 0.0:
-            raise DomainError(f"laser-Coulomb barrier is defined for x > 0, got {x}")
-        z = eval_zeff(b.zeff, x)
-        if z <= 0.0:
-            raise DomainError(f"Z_eff({x}) = {z} is not positive")
-        return -z / x - b.field * x
-    if isinstance(b, Tabulated):
-        if x < b.x[0] or x > b.x[-1]:
-            raise DomainError(
-                f"x = {x} outside tabulated range [{b.x[0]}, {b.x[-1]}]"
-            )
-        return float(b._interp(x))
-    raise TypeError(f"not a barrier: {b!r}")
-
-
-# Bracket for the numeric peak search; every turning-point configuration the
-# experiments reach lies well inside (benchmark roots span [1.2, 21.5] a.u.).
-_PEAK_BRACKET = (0.1, 100.0)
+    return b.potential(x)
 
 
 def barrier_peak(b: Barrier):
-    """Locate the barrier maximum.
-
-    Returns
-    -------
-    (x_peak, v_max) : tuple of float
-        For a rectangular barrier any interior point qualifies; the midpoint
-        is returned. For a constant-Z_eff laser-Coulomb barrier the maximum
-        is at sqrt(z/field) with value -2*sqrt(z*field). Position-dependent
-        Z_eff falls back to a bounded numeric search.
+    """Locate the barrier maximum as (x_peak, v_max).
 
     Raises
     ------
@@ -240,30 +383,4 @@ def barrier_peak(b: Barrier):
         The potential is monotone on its domain (tabulated data with its
         maximum at an endpoint).
     """
-    if isinstance(b, Rectangular):
-        return 0.5 * b.length, b.v0
-    if isinstance(b, Triangular):
-        return 0.0, b.v0
-    if isinstance(b, LaserCoulomb):
-        if isinstance(b.zeff, ConstantZeff):
-            x_peak = math.sqrt(b.zeff.z / b.field)
-            return x_peak, -2.0 * math.sqrt(b.zeff.z * b.field)
-        res = minimize_scalar(
-            lambda x: -eval_potential(b, x),
-            bounds=_PEAK_BRACKET,
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        return float(res.x), -float(res.fun)
-    if isinstance(b, Tabulated):
-        i = int(np.argmax(b.v))
-        if i == 0 or i == b.x.size - 1:
-            raise NoPeak("tabulated potential has no interior maximum")
-        res = minimize_scalar(
-            lambda x: -float(b._interp(x)),
-            bounds=(b.x[i - 1], b.x[i + 1]),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return float(res.x), -float(res.fun)
-    raise TypeError(f"not a barrier: {b!r}")
+    return b.peak()

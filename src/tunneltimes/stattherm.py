@@ -15,7 +15,6 @@ this module takes absolute values: signs are reported, not hidden.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from scipy.optimize import brentq
@@ -24,13 +23,10 @@ from .errors import DomainError
 
 __all__ = [
     "PHI_STAR",
-    "StatState",
     "entropy",
     "bracket",
     "inverse_temperature",
-    "thermal_energy",
     "entropy_maximum",
-    "evaluate_state",
 ]
 
 
@@ -60,15 +56,6 @@ def _solve_phi_star() -> float:
 PHI_STAR = _solve_phi_star()
 
 
-@dataclass(frozen=True)
-class StatState:
-    """Entropy, inverse thermal energy, and bracket value for one problem."""
-
-    entropy_over_kB: float
-    inv_kBT: float
-    bracket_value: float
-
-
 def entropy(p_m: float) -> float:
     """S(p_m) in units of k_B; nonnegative on (0, 1] with S(1) = 0."""
     if not 0.0 < p_m <= 1.0:
@@ -84,13 +71,6 @@ def inverse_temperature(phi: float, tau_c: float) -> float:
     return -2.0 * tau_c * math.exp(-2.0 * phi) * bracket(phi)
 
 
-def thermal_energy(p_t: float, kBT: float) -> float:
-    """Thermal energy window Delta E = p_t * 2 pi * k_B T (signed as kBT)."""
-    if not 0.0 < p_t <= 1.0:
-        raise DomainError(f"transmission probability must lie in (0, 1], got {p_t}")
-    return p_t * 2.0 * math.pi * kBT
-
-
 @lru_cache(maxsize=1)
 def entropy_maximum():
     """Locate the maximum of S on (0, 1).
@@ -104,18 +84,3 @@ def entropy_maximum():
     dsdp = lambda p: math.log1p(-math.log(p)) - 1.0 / (1.0 - math.log(p))
     p_star = brentq(dsdp, 0.1, 0.9, xtol=1e-15, rtol=8.9e-16)
     return float(p_star), entropy(float(p_star))
-
-
-def evaluate_state(phi: float, tau_c: float) -> StatState:
-    """Assemble the statistical state for a problem with action phi.
-
-    p_m = exp(-2*phi) underflows to zero for phi beyond ~354; the entropy
-    limit there is 0, which is substituted to keep the state well defined.
-    """
-    p_m = math.exp(-2.0 * phi)
-    s = entropy(p_m) if p_m > 0.0 else 0.0
-    return StatState(
-        entropy_over_kB=s,
-        inv_kBT=inverse_temperature(phi, tau_c),
-        bracket_value=bracket(phi),
-    )

@@ -5,11 +5,13 @@ classical time tau_c, the action phi, and a transmission probability p_t,
 
     ett = -(tau_c / (2 pi p_t)) * exp(-2 phi) * B(phi),
 
-with B the bracket factor from the statistical layer. Specializations for
-the WKB transmission and for the exact rectangular transmission are provided
-and are algebraically identical to the general form; the identity is kept
-testable rather than collapsed. Phase and dwell times exist in closed form
-for the rectangular barrier only and are not invented for other shapes.
+with B the bracket factor from the statistical layer. Every entry point
+evaluates it through one kernel, -(tau_c / 2 pi) * rho * B(phi), where
+rho = exp(-2 phi)/p_t is supplied by the transmission model: in log space
+for an arbitrary p_t, and in closed forms that cannot underflow for the
+WKB and exact rectangular transmissions. Phase and dwell times exist in
+closed form for the rectangular barrier only and are not invented for other
+shapes.
 
 Sign policy: for phi <= PHI_STAR the entropic time comes out non-positive.
 It is returned as computed, with the report's positivity flag cleared;
@@ -60,56 +62,84 @@ def tau_c_rectangular(energy: float, v0: float, length: float, mass: float = 1.0
     return length * math.sqrt(mass / (2.0 * (v0 - energy)))
 
 
+def _ett(tau_c: float, phi: float, rho: float) -> float:
+    """The entropic-time kernel, rho = exp(-2 phi)/p_t."""
+    ett = -(tau_c / _TWO_PI) * rho * bracket(phi)
+    if not math.isfinite(ett):
+        raise DomainError(f"entropic time is not finite: {ett}")
+    return ett
+
+
+def _rho_wkb(phi: float) -> float:
+    # cosh^2(phi) * exp(-2 phi) = ((1 + exp(-2 phi))/2)^2, which neither
+    # overflows nor cancels at large phi
+    q = 0.5 * (1.0 + math.exp(-2.0 * phi))
+    return q * q
+
+
+def _rho_rectangular(energy: float, v0: float, phi: float) -> float:
+    # exp(-2 phi)/p_t = exp(-2 phi) + v0^2 (1 - exp(-2 phi))^2 / (16 E (v0 - E)),
+    # with expm1 so both the thin- and thick-barrier ends are accurate
+    em = math.exp(-2.0 * phi)
+    one_minus = -math.expm1(-2.0 * phi)
+    return em + v0 * v0 * one_minus * one_minus / (16.0 * energy * (v0 - energy))
+
+
 def ett_general(tau_c: float, phi: float, p_t: float) -> float:
     """Entropic tunneling time for any barrier, signed.
 
     The exp(-2 phi)/p_t ratio is evaluated in log space: the two factors
     underflow separately near phi ~ 354 while their ratio stays of order
-    one for any transmission with the WKB decay.
+    one for any transmission with the WKB decay. A p_t that has already
+    underflowed to 0 is rejected.
     """
     if not p_t > 0.0:
         raise DomainError(f"transmission probability must be positive, got {p_t}")
-    ratio = math.exp(-2.0 * phi - math.log(p_t))
-    return -(tau_c / _TWO_PI) * ratio * bracket(phi)
+    try:
+        rho = math.exp(-2.0 * phi - math.log(p_t))
+    except OverflowError:
+        rho = math.inf  # the kernel rejects the non-finite result
+    return _ett(tau_c, phi, rho)
 
 
 def ett_he(tau_c: float, phi: float) -> float:
-    """Entropic time with the WKB transmission folded in.
-
-    cosh^2(phi) * exp(-2 phi) is written as ((1 + exp(-2 phi))/2)^2, which
-    neither overflows nor cancels at large phi. Identical to
-    ett_general(tau_c, phi, pt_wkb(phi)) to relative 1e-12.
-    """
-    q = 0.5 * (1.0 + math.exp(-2.0 * phi))
-    return -(tau_c / _TWO_PI) * q * q * bracket(phi)
+    """Entropic time with the WKB transmission folded in; finite for any
+    phi >= 0. Identical to ett_general(tau_c, phi, pt_wkb(phi)) to relative
+    1e-12."""
+    return _ett(tau_c, phi, _rho_wkb(phi))
 
 
 def ett_rectangular(energy: float, v0: float, length: float, mass: float = 1.0) -> float:
     """Entropic time with the exact rectangular transmission folded in.
 
-    exp(-2 phi)/p_t expands to
-    exp(-2 phi) + v0^2 (1 - exp(-2 phi))^2 / (16 E (v0 - E)),
-    evaluated with expm1 so both the thin- and thick-barrier ends are
-    accurate. Identical to ett_general with pt_rectangular_exact to
-    relative 1e-12.
+    Finite for any length. Identical to ett_general with
+    pt_rectangular_exact to relative 1e-12.
     """
-    _check_under_barrier(energy, v0)
     phi = phi_rectangular(energy, v0, length, mass)
     tau_c = tau_c_rectangular(energy, v0, length, mass)
-    em = math.exp(-2.0 * phi)
-    one_minus = -math.expm1(-2.0 * phi)
-    ratio = em + v0 * v0 * one_minus * one_minus / (16.0 * energy * (v0 - energy))
-    return -(tau_c / _TWO_PI) * ratio * bracket(phi)
+    return _ett(tau_c, phi, _rho_rectangular(energy, v0, phi))
 
 
-def _pt_times_sinhcosh(energy: float, v0: float, phi: float) -> float:
-    # p_t * sinh(phi) * cosh(phi) with the exponential growth of sinh*cosh
-    # cancelled against the exact p_t decay before anything is multiplied
+def _phase_dwell_terms(energy: float, v0: float, length: float, mass: float):
+    """Common prefix of the rectangular phase and dwell times: pref =
+    tau_c / (2 phi^2 phi_e), p_t phi (phi^2 - phi_e^2), phi^2 + phi_e^2,
+    phi_e^2 and s = p_t sinh(phi) cosh(phi) / phi_e^2.
+
+    sinh*cosh growth cancels against the exact p_t decay, and phi_e^2
+    against p_t ~ E through 4 E (v0 - E) / phi_e^2 = 2 (v0 - E) / (m L^2),
+    so only phi_e itself divides and tiny energies do not underflow.
+    """
+    phi = phi_rectangular(energy, v0, length, mass)
+    tau_c = tau_c_rectangular(energy, v0, length, mass)
+    phi_e2 = 2.0 * mass * energy * length * length
     g = 4.0 * energy * (v0 - energy)
     em2 = math.exp(-2.0 * phi)
     one_m2 = -math.expm1(-2.0 * phi)
-    one_m4 = -math.expm1(-4.0 * phi)
-    return (0.25 * g * one_m4) / (g * em2 + 0.25 * v0 * v0 * one_m2 * one_m2)
+    den = g * em2 + 0.25 * v0 * v0 * one_m2 * one_m2
+    p_t = g * em2 / den
+    s = 0.5 * (v0 - energy) / (mass * length * length) * -math.expm1(-4.0 * phi) / den
+    pref = tau_c / (2.0 * phi * phi * math.sqrt(phi_e2))
+    return pref, p_t * phi * (phi * phi - phi_e2), phi * phi + phi_e2, phi_e2, s
 
 
 def phase_time_rectangular(
@@ -125,18 +155,8 @@ def phase_time_rectangular(
 
     Saturates at (hbar/E) sqrt(E/(v0 - E)) for wide barriers.
     """
-    _check_under_barrier(energy, v0)
-    phi = phi_rectangular(energy, v0, length, mass)
-    tau_c = tau_c_rectangular(energy, v0, length, mass)
-    phi_e = math.sqrt(2.0 * mass * energy) * length
-    p_t = pt_rectangular_exact(energy, v0, phi)
-    diff = phi * phi - phi_e * phi_e
-    summ = phi * phi + phi_e * phi_e
-    pref = tau_c / (2.0 * phi * phi * phi_e**3)
-    return pref * (
-        p_t * phi * phi_e * phi_e * diff
-        + summ * summ * _pt_times_sinhcosh(energy, v0, phi)
-    )
+    pref, head, summ, _, s = _phase_dwell_terms(energy, v0, length, mass)
+    return pref * (head + summ * summ * s)
 
 
 def dwell_time_rectangular(
@@ -150,15 +170,8 @@ def dwell_time_rectangular(
 
     Saturates at (hbar/v0) sqrt(E/(v0 - E)) for wide barriers.
     """
-    _check_under_barrier(energy, v0)
-    phi = phi_rectangular(energy, v0, length, mass)
-    tau_c = tau_c_rectangular(energy, v0, length, mass)
-    phi_e = math.sqrt(2.0 * mass * energy) * length
-    p_t = pt_rectangular_exact(energy, v0, phi)
-    diff = phi * phi - phi_e * phi_e
-    summ = phi * phi + phi_e * phi_e
-    pref = tau_c / (2.0 * phi * phi * phi_e)
-    return pref * (p_t * phi * diff + summ * _pt_times_sinhcosh(energy, v0, phi))
+    pref, head, summ, phi_e2, s = _phase_dwell_terms(energy, v0, length, mass)
+    return pref * (head + summ * phi_e2 * s)
 
 
 def triangular_scalings(
@@ -198,8 +211,10 @@ def triangular_scalings(
 class TimesReport:
     """Every time definition plus its inputs, for one problem, in a.u.
 
-    phase_time and dwell_time are None unless the barrier is rectangular;
-    kBT is signed and infinite exactly at the bracket zero phi = PHI_STAR.
+    phase_time and dwell_time are None unless the barrier is rectangular.
+    ett is finite for any phi, including actions where p_t_used has
+    underflowed to 0. kBT is signed; it is +inf at the bracket zero
+    phi = PHI_STAR and once exp(2 phi) overflows (phi beyond about 354).
     """
 
     ett: float
@@ -218,32 +233,30 @@ def times_report(
     """Compute the full set of times for a resolved problem.
 
     The rectangular barrier uses its exact transmission (and gains phase and
-    dwell entries); every other family uses the WKB transmission.
+    dwell entries); every other family uses the WKB transmission. This is
+    the one evaluator behind the CLI and the helium harnesses.
     """
     quantities = compute_wkb(problem, quad_tol)
-    barrier = problem.barrier
+    phi, tau_c = quantities.phi, quantities.tau_c
+    energy, barrier = problem.energy, problem.barrier
     if isinstance(barrier, Rectangular):
-        p_t = pt_rectangular_exact(problem.energy, barrier.v0, quantities.phi)
-        phase = phase_time_rectangular(
-            problem.energy, barrier.v0, barrier.length, problem.mass
-        )
-        dwell = dwell_time_rectangular(
-            problem.energy, barrier.v0, barrier.length, problem.mass
-        )
+        p_t = pt_rectangular_exact(energy, barrier.v0, phi)
+        rho = _rho_rectangular(energy, barrier.v0, phi)
+        phase = phase_time_rectangular(energy, barrier.v0, barrier.length, problem.mass)
+        dwell = dwell_time_rectangular(energy, barrier.v0, barrier.length, problem.mass)
     else:
-        p_t = pt_wkb(quantities.phi)
+        p_t = pt_wkb(phi)
+        rho = _rho_wkb(phi)
         phase = None
         dwell = None
-    ett = ett_general(quantities.tau_c, quantities.phi, p_t)
-    inv = inverse_temperature(quantities.phi, quantities.tau_c)
-    kbt = 1.0 / inv if inv != 0.0 else math.inf
+    inv = inverse_temperature(phi, tau_c)
     return TimesReport(
-        ett=ett,
-        tau_c=quantities.tau_c,
+        ett=_ett(tau_c, phi, rho),
+        tau_c=tau_c,
         phase_time=phase,
         dwell_time=dwell,
         p_t_used=p_t,
-        phi=quantities.phi,
-        kBT=kbt,
-        positivity_flag=quantities.phi > PHI_STAR,
+        phi=phi,
+        kBT=1.0 / inv if inv != 0.0 else math.inf,
+        positivity_flag=phi > PHI_STAR,
     )

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvanescentLead
-from .potentials import (
-    Barrier,
-    LaserCoulomb,
-    Rectangular,
-    Tabulated,
-    Triangular,
-    eval_potential,
-)
+from .potentials import Barrier
 
 __all__ = [
     "ScatteringResult",
@@ -73,25 +66,6 @@ def pt_wkb(phi: float) -> float:
     return 4.0 * em / ((1.0 + em) * (1.0 + em))
 
 
-def _support_and_leads(b: Barrier):
-    """Slicing interval plus the flat lead levels at its edges."""
-    if isinstance(b, (Rectangular, Triangular)):
-        return 0.0, b.length, 0.0, 0.0
-    if isinstance(b, Tabulated):
-        return float(b.x[0]), float(b.x[-1]), float(b.v[0]), float(b.v[-1])
-    if isinstance(b, LaserCoulomb):
-        raise DomainError(
-            "the scattering oracle is not offered for the laser-Coulomb barrier"
-        )
-    raise TypeError(f"not a barrier: {b!r}")
-
-
-def _eval_many(b: Barrier, xs: np.ndarray) -> np.ndarray:
-    if isinstance(b, Tabulated):
-        return np.asarray(b._interp(xs), dtype=float)
-    return np.array([eval_potential(b, float(x)) for x in xs])
-
-
 def pt_numeric(
     b: Barrier,
     energy: float,
@@ -110,13 +84,14 @@ def pt_numeric(
         Lead kinetic energy is non-positive on either side (no propagating
         asymptotic state).
     DomainError
-        Fewer than 64 slices requested, or the barrier family is excluded.
+        Fewer than 64 slices requested, the barrier family is excluded, or
+        the swept amplitudes overflow (barrier action beyond about 700).
     """
     if slices < _MIN_SLICES:
         raise DomainError(f"need at least {_MIN_SLICES} slices, got {slices}")
-    if not mass > 0:
-        raise DomainError(f"mass must be positive, got {mass}")
-    a, bnd, v_left, v_right = _support_and_leads(b)
+    if not 0.0 < mass < math.inf:
+        raise DomainError(f"mass must be positive and finite, got {mass}")
+    a, h, v_left, v_right, vs = b.oracle_slices(slices)
     kin_l = energy - v_left
     kin_r = energy - v_right
     if kin_l <= 0.0 or kin_r <= 0.0:
@@ -126,9 +101,6 @@ def pt_numeric(
     k_lead_l = math.sqrt(2.0 * mass * kin_l)
     k_lead_r = math.sqrt(2.0 * mass * kin_r)
 
-    h = (bnd - a) / slices
-    mids = a + h * (np.arange(slices) + 0.5)
-    vs = _eval_many(b, mids)
     kk = 2.0 * mass * (energy - vs)
     kk[kk == 0.0] = 1e-30  # a slice exactly at the energy would divide by zero
     k_slices = np.sqrt(kk.astype(complex))
@@ -137,18 +109,28 @@ def pt_numeric(
     # x = a + i*h separates region i from region i+1
     regions = [complex(k_lead_l)] + list(k_slices) + [complex(k_lead_r)]
     amp_a, amp_b = 1.0 + 0.0j, 0.0 + 0.0j  # unit transmitted wave, right lead
-    for i in range(slices, -1, -1):
-        x = a + h * i
-        k_r = regions[i + 1]
-        k_l = regions[i]
-        phase = cmath.exp(1j * k_r * x)
-        u = amp_a * phase
-        v = amp_b / phase
-        r = k_r / k_l
-        e_l = cmath.exp(1j * k_l * x)
-        amp_a = 0.5 * ((1.0 + r) * u + (1.0 - r) * v) / e_l
-        amp_b = 0.5 * ((1.0 - r) * u + (1.0 + r) * v) * e_l
-
+    try:
+        # an opaque barrier overflows the amplitudes or the phase factors;
+        # both are caught below rather than warned about
+        with np.errstate(all="ignore"):
+            for i in range(slices, -1, -1):
+                x = a + h * i
+                k_r = regions[i + 1]
+                k_l = regions[i]
+                phase = cmath.exp(1j * k_r * x)
+                u = amp_a * phase
+                v = amp_b / phase
+                r = k_r / k_l
+                e_l = cmath.exp(1j * k_l * x)
+                amp_a = 0.5 * ((1.0 + r) * u + (1.0 - r) * v) / e_l
+                amp_b = 0.5 * ((1.0 - r) * u + (1.0 + r) * v) * e_l
+    except OverflowError:
+        amp_a = amp_b = complex("inf")
+    if not (cmath.isfinite(amp_a) and cmath.isfinite(amp_b)):
+        raise DomainError(
+            "transfer-matrix amplitudes overflow; the barrier is too opaque "
+            "for the oracle"
+        )
     inc2 = abs(amp_a) ** 2
     p_t = (k_lead_r / k_lead_l) / inc2
     p_r = abs(amp_b) ** 2 / inc2

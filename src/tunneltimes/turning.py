@@ -4,26 +4,22 @@ Three solver paths are provided. Constant effective charge reduces to a
 quadratic with closed-form roots; a position-dependent effective charge uses
 the self-consistent fixed-point iteration with deterministic seeds and a
 Brent polish; every other barrier goes through a generic bracketed search.
+Each barrier family picks its path in its own ``turning_points`` method; the
+solvers here see a barrier only through its ``potential``, ``peak`` and
+``root_brackets`` methods (and ``zeff``, ``field`` for the self-consistent
+one), so this module does not depend on the families.
 """
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from scipy.optimize import brentq
 
 from .errors import BracketFailure, DomainError, NoConvergence, OverBarrier
-from .potentials import (
-    KULLIE,
-    Barrier,
-    ConstantZeff,
-    LaserCoulomb,
-    Rectangular,
-    Tabulated,
-    Triangular,
-    barrier_peak,
-    eval_potential,
-    eval_zeff,
-)
+
+if TYPE_CHECKING:
+    from .potentials import Barrier, LaserCoulomb
 
 __all__ = [
     "ROOT_TOL",
@@ -42,6 +38,10 @@ _MAX_ITER = 1000
 _BRENT_XTOL = 1e-15
 _BRENT_RTOL = 8.9e-16
 
+# constant helium charge (Kullie) whose quadratic roots seed the
+# self-consistent iteration
+_SEED_Z = 1.375
+
 
 @dataclass(frozen=True)
 class TunnelingProblem:
@@ -54,13 +54,13 @@ class TunnelingProblem:
 
     energy: float
     mass: float
-    barrier: Barrier
+    barrier: "Barrier"
     x_left: float
     x_right: float
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
+        if not 0.0 < self.mass < math.inf:
+            raise DomainError(f"mass must be positive and finite, got {self.mass}")
         if self.x_left > self.x_right:
             raise DomainError(
                 f"turning points out of order: {self.x_left} > {self.x_right}"
@@ -100,28 +100,8 @@ def turning_points_quadratic(z: float, energy: float, field: float):
     return (abs_e - s) / (2.0 * field), (abs_e + s) / (2.0 * field)
 
 
-def _expand_below(b, energy, x_peak):
-    # V -> -inf as x -> 0+, so halving must find V < E
-    x = 0.5 * x_peak
-    for _ in range(200):
-        if eval_potential(b, x) < energy:
-            return x
-        x *= 0.5
-    raise BracketFailure("no sign change below the barrier peak")
-
-
-def _expand_above(b, energy, x_peak):
-    # V -> -inf as x -> +inf under the field term
-    x = 2.0 * x_peak
-    for _ in range(200):
-        if eval_potential(b, x) < energy:
-            return x
-        x *= 2.0
-    raise BracketFailure("no sign change above the barrier peak")
-
-
 def _brent_root(b, energy, lo, hi):
-    f = lambda x: eval_potential(b, x) - energy
+    f = lambda x: b.potential(x) - energy
     root = brentq(f, lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=200)
     return float(root)
 
@@ -132,20 +112,20 @@ def _fixed_point_branch(b, energy, seed, take_lower, root_tol, max_iter):
     abs_e = -energy
     x = seed
     for _ in range(max_iter):
-        z = eval_zeff(b.zeff, x)
+        z = b.zeff(x)
         disc = abs_e * abs_e - 4.0 * z * b.field
         if disc <= 0.0:
             return None
         s = math.sqrt(disc)
         x_new = (abs_e - s) / (2.0 * b.field) if take_lower else (abs_e + s) / (2.0 * b.field)
-        if abs(eval_potential(b, x_new) - energy) < root_tol:
+        if abs(b.potential(x_new) - energy) < root_tol:
             return x_new
         x = x_new
     return x
 
 
 def _polish_branch(b, energy, x_it, take_lower, x_peak, root_tol):
-    f = lambda x: eval_potential(b, x) - energy
+    f = lambda x: b.potential(x) - energy
     if x_it is not None:
         for pad in (1e-6, 1e-3, 1e-1):
             lo = max(x_it * (1.0 - pad), 1e-12)
@@ -154,10 +134,7 @@ def _polish_branch(b, energy, x_it, take_lower, x_peak, root_tol):
                 return _brent_root(b, energy, lo, hi)
     # iteration unusable or the tight bracket missed; bracket from the peak
     try:
-        if take_lower:
-            lo, hi = _expand_below(b, energy, x_peak), x_peak
-        else:
-            lo, hi = x_peak, _expand_above(b, energy, x_peak)
+        lo, hi = b.root_brackets(energy, x_peak)[0 if take_lower else 1]
     except BracketFailure as exc:
         raise NoConvergence(
             "fixed-point iteration did not converge and no bracket was found"
@@ -169,7 +146,7 @@ def _polish_branch(b, energy, x_it, take_lower, x_peak, root_tol):
 
 
 def turning_points_selfconsistent(
-    b: LaserCoulomb,
+    b: "LaserCoulomb",
     energy: float,
     *,
     root_tol: float = ROOT_TOL,
@@ -189,13 +166,13 @@ def turning_points_selfconsistent(
     NoConvergence
         The iteration exhausted max_iter and no root bracket was found.
     """
-    if not isinstance(b, LaserCoulomb):
+    if not callable(getattr(b, "zeff", None)):
         raise DomainError("self-consistent solver applies to laser-Coulomb barriers")
-    x_peak, v_max = barrier_peak(b)
+    x_peak, v_max = b.peak()
     if energy >= v_max:
         raise OverBarrier(f"E = {energy} is not below the barrier maximum {v_max:.6g}")
     try:
-        seeds = turning_points_quadratic(KULLIE.z, energy, b.field)
+        seeds = turning_points_quadratic(_SEED_Z, energy, b.field)
     except OverBarrier:
         # the constant-charge reference barrier is lower than the actual one
         # here; fall back to geometric seeds around the peak
@@ -209,12 +186,14 @@ def turning_points_selfconsistent(
     return x_l, x_r
 
 
-def turning_points_bracketed(b: Barrier, energy: float, *, root_tol: float = ROOT_TOL):
+def turning_points_bracketed(b: "Barrier", energy: float, *, root_tol: float = ROOT_TOL):
     """Generic turning points by bracketed root finding around the peak.
 
-    Rectangular and truncated-triangular barriers take their support edges
-    as turning points; there V - E changes sign through a jump rather than a
-    smooth crossing, and the edge is the exact bisection limit.
+    The barrier's ``root_brackets`` gives one interval per turning point. A
+    degenerate interval is the root itself: rectangular and
+    truncated-triangular barriers take their support edges as turning
+    points, where V - E changes sign through a jump rather than a smooth
+    crossing and the edge is the exact bisection limit.
 
     Raises
     ------
@@ -223,62 +202,22 @@ def turning_points_bracketed(b: Barrier, energy: float, *, root_tol: float = ROO
     BracketFailure
         V - E has no sign change on one side of the peak.
     """
-    if isinstance(b, Rectangular):
-        if energy >= b.v0:
-            raise OverBarrier(f"E = {energy} is not below the barrier height {b.v0}")
-        if not energy > 0:
-            raise DomainError(f"energy must lie in (0, v0), got {energy}")
-        return 0.0, b.length
-    if isinstance(b, Triangular):
-        if energy >= b.v0:
-            raise OverBarrier(f"E = {energy} is not below the barrier height {b.v0}")
-        if not energy > 0:
-            raise DomainError(f"energy must lie in (0, v0), got {energy}")
-        x_t = (b.v0 - energy) / b.slope
-        return 0.0, min(x_t, b.length)
-    x_peak, v_max = barrier_peak(b)
+    x_peak, v_max = b.peak()
     if energy >= v_max:
         raise OverBarrier(f"E = {energy} is not below the barrier maximum {v_max:.6g}")
-    if isinstance(b, LaserCoulomb):
-        lo = _expand_below(b, energy, x_peak)
-        hi = _expand_above(b, energy, x_peak)
-    elif isinstance(b, Tabulated):
-        lo, hi = float(b.x[0]), float(b.x[-1])
-        if eval_potential(b, lo) >= energy or eval_potential(b, hi) >= energy:
-            raise BracketFailure(
-                "tabulated potential does not drop below E at the sample edges"
-            )
-    else:
-        raise DomainError(f"no bracketed solver for {type(b).__name__}")
-    x_l = _brent_root(b, energy, lo, x_peak)
-    x_r = _brent_root(b, energy, x_peak, hi)
-    for root in (x_l, x_r):
-        if abs(eval_potential(b, root) - energy) > root_tol:
-            raise NoConvergence(
-                f"root residual at x = {root} exceeds {root_tol:g}"
-            )
-    return x_l, x_r
+    roots = []
+    for lo, hi in b.root_brackets(energy, x_peak):
+        if lo == hi:
+            roots.append(lo)
+            continue
+        root = _brent_root(b, energy, lo, hi)
+        if abs(b.potential(root) - energy) > root_tol:
+            raise NoConvergence(f"root residual at x = {root} exceeds {root_tol:g}")
+        roots.append(root)
+    return roots[0], roots[1]
 
 
-def resolve_problem(barrier: Barrier, energy: float, mass: float = 1.0) -> TunnelingProblem:
-    """Resolve turning points and assemble a TunnelingProblem.
-
-    Dispatches to the closed-form, self-consistent, or bracketed solver
-    according to the barrier family.
-    """
-    if not mass > 0:
-        raise DomainError(f"mass must be positive, got {mass}")
-    if isinstance(barrier, (Rectangular, Triangular)):
-        x_l, x_r = turning_points_bracketed(barrier, energy)
-    elif isinstance(barrier, LaserCoulomb):
-        if isinstance(barrier.zeff, ConstantZeff):
-            x_l, x_r = turning_points_quadratic(barrier.zeff.z, energy, barrier.field)
-        else:
-            x_l, x_r = turning_points_selfconsistent(barrier, energy)
-    elif isinstance(barrier, Tabulated):
-        x_l, x_r = turning_points_bracketed(barrier, energy)
-    else:
-        raise TypeError(f"not a barrier: {barrier!r}")
-    return TunnelingProblem(
-        energy=energy, mass=mass, barrier=barrier, x_left=x_l, x_right=x_r
-    )
+def resolve_problem(barrier: "Barrier", energy: float, mass: float = 1.0) -> TunnelingProblem:
+    """Resolve turning points with the solver the barrier family picks and
+    assemble a TunnelingProblem, which validates the mass."""
+    return TunnelingProblem(energy, mass, barrier, *barrier.turning_points(energy))

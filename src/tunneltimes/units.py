@@ -35,18 +35,12 @@ class PhysicalConstants:
         Angstroms per Bohr radius.
     speed_of_light_au : float
         Speed of light in atomic units (inverse fine-structure constant).
-    hbar_au, electron_mass_au, boltzmann_scale : float
-        All exactly 1 in the internal unit system; kept as named fields so
-        formulas can spell them out where it aids reading.
     """
 
     au_time_in_as: float = 24.188843265
     au_energy_in_ev: float = 27.211386245
     au_length_in_angstrom: float = 0.5291772109
     speed_of_light_au: float = 137.035999
-    hbar_au: float = 1.0
-    electron_mass_au: float = 1.0
-    boltzmann_scale: float = 1.0
 
 
 CONSTANTS = PhysicalConstants()

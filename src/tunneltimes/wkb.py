@@ -25,7 +25,6 @@ from .turning import TunnelingProblem, resolve_problem
 __all__ = [
     "QUAD_TOL_DEFAULT",
     "WkbQuantities",
-    "momentum_magnitude",
     "action_phi",
     "classical_time",
     "dphi_dE",
@@ -64,16 +63,6 @@ def _v_minus_e(problem: TunnelingProblem, x: float) -> float:
             "forbidden region (malformed barrier)"
         )
     return d
-
-
-def momentum_magnitude(problem: TunnelingProblem, x: float) -> float:
-    """sqrt(2m(V(x) - E)); exactly 0 at the turning points."""
-    if x < problem.x_left or x > problem.x_right:
-        raise DomainError(
-            f"x = {x} outside the forbidden region "
-            f"[{problem.x_left}, {problem.x_right}]"
-        )
-    return math.sqrt(2.0 * problem.mass * _v_minus_e(problem, x))
 
 
 def _integrate(problem: TunnelingProblem, want_time: bool, quad_tol: float) -> float:

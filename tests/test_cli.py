@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -116,6 +117,29 @@ class TestTimes:
         )
         assert rc == 3
         assert "DomainError" in err
+
+    def test_non_finite_sample_exit_code(self, tmp_path, capsys):
+        xs = np.linspace(0.0, 7.0, 8)
+        path = tmp_path / "nan.dat"
+        path.write_text("\n".join(f"{x:.17g} {'nan' if x == 3.0 else 1.0}" for x in xs))
+        rc, _, err = run_cli(
+            ["times", "--barrier", "tabulated", "--file", str(path),
+             "--energy", "0.5"],
+            capsys,
+        )
+        assert rc == 3
+        assert "DomainError" in err
+
+    def test_tiny_energy(self, capsys):
+        rc, out, _ = run_cli(
+            ["times", "--barrier", "rect", "--v0", "1", "--length", "2",
+             "--energy", "1e-300"],
+            capsys,
+        )
+        assert rc == 0
+        kv = parse_kv(out)
+        for key in ("ett_au", "phase_time_au", "dwell_time_au", "kBT_au"):
+            assert math.isfinite(float(kv[key]))
 
     def test_missing_parameters_usage_error(self):
         with pytest.raises(SystemExit) as exc:

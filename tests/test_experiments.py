@@ -9,6 +9,7 @@ from tunneltimes.errors import DomainError
 from tunneltimes.experiments import (
     ET_FLAG_THRESHOLD_FS,
     HE_ENERGY_AU,
+    HE_MODELS,
     TABLE1_REFERENCE,
     EtScanPoint,
     ScanPoint,
@@ -21,10 +22,10 @@ from tunneltimes.experiments import (
     write_json,
 )
 from tunneltimes.stattherm import PHI_STAR
-from tunneltimes.times import tau_c_rectangular
+from tunneltimes.times import tau_c_rectangular, times_report
 from tunneltimes.turning import resolve_problem
-from tunneltimes.potentials import Rectangular
-from tunneltimes.units import angstrom_to_au, ev_to_au, to_femtoseconds
+from tunneltimes.potentials import LaserCoulomb, Rectangular
+from tunneltimes.units import angstrom_to_au, ev_to_au, to_attoseconds, to_femtoseconds
 from tunneltimes.wkb import classical_time
 
 
@@ -46,6 +47,15 @@ class TestTable1:
     def test_entropic_time_below_classical(self):
         for row in run_table1():
             assert 0.0 < row.ett_as < row.tau_c_as
+
+    def test_rows_come_from_times_report(self):
+        for row in run_table1():
+            barrier = LaserCoulomb(row.field, HE_MODELS[row.model])
+            problem = resolve_problem(barrier, HE_ENERGY_AU)
+            report = times_report(problem)
+            assert (row.x_L, row.x_R) == (problem.x_left, problem.x_right)
+            assert row.tau_c_as == to_attoseconds(report.tau_c)
+            assert row.ett_as == to_attoseconds(report.ett)
 
 
 class TestKeldysh:
@@ -97,6 +107,15 @@ class TestHeScan:
             points = he_scan(field_min=0.04, field_max=0.25, steps=8)
         assert 0 < len(points) < 8 * 3
         assert "skipping" in caplog.text
+
+    def test_points_come_from_times_report(self):
+        for p in he_scan(steps=4):
+            problem = resolve_problem(LaserCoulomb(p.field, HE_MODELS[p.model]), HE_ENERGY_AU)
+            report = times_report(problem)
+            assert p.phi == report.phi
+            assert p.tau_c_as == to_attoseconds(report.tau_c)
+            assert p.ett_as == to_attoseconds(report.ett)
+            assert p.true_width == problem.width
 
     def test_validation(self):
         with pytest.raises(DomainError):

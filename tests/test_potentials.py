@@ -10,6 +10,7 @@ from tunneltimes.potentials import (
     SAE,
     ConstantZeff,
     LaserCoulomb,
+    SaeZeff,
     Rectangular,
     Tabulated,
     Triangular,
@@ -56,6 +57,12 @@ class TestZeff:
             zeff_model("bogus")
         with pytest.raises(DomainError):
             zeff_model("-2.0")
+        with pytest.raises(DomainError):
+            zeff_model("nan")
+        with pytest.raises(DomainError):
+            ConstantZeff(math.inf)
+        with pytest.raises(DomainError):
+            SaeZeff(a1=math.nan)
 
 
 class TestEvalPotential:
@@ -143,6 +150,11 @@ class TestTabulated:
         xs = np.array([0.0, 1.0, 0.5, 2.0, 3.0, 4.0, 5.0, 6.0])
         with pytest.raises(DomainError):
             Tabulated(xs, np.ones(8))
+        xs = np.linspace(0.0, 1.0, 8)
+        with pytest.raises(DomainError):
+            Tabulated(xs, np.where(xs > 0.5, np.nan, 1.0))
+        with pytest.raises(DomainError):
+            Tabulated(np.append(xs[:-1], np.inf), np.ones(8))
 
     def test_from_file_round_trip(self, tmp_path):
         path = tmp_path / "barrier.dat"
@@ -161,6 +173,10 @@ class TestValidation:
     def test_rectangular_rejects_negative_height(self):
         with pytest.raises(DomainError):
             Rectangular(-1.0, 2.0)
+        with pytest.raises(DomainError):
+            Rectangular(math.nan, 2.0)
+        with pytest.raises(DomainError):
+            Rectangular(1.0, math.inf)
         # degenerate free-particle case stays constructible for the oracle
         assert Rectangular(0.0, 2.0).v0 == 0.0
 
@@ -169,7 +185,15 @@ class TestValidation:
             Triangular(0.0, 0.5, 2.0)
         with pytest.raises(DomainError):
             Triangular(1.0, -0.5, 2.0)
+        with pytest.raises(DomainError):
+            Triangular(math.inf, 0.5, 2.0)
+        with pytest.raises(DomainError):
+            Triangular(1.0, math.nan, 2.0)
 
     def test_laser_coulomb_requires_positive_field(self):
         with pytest.raises(DomainError):
             LaserCoulomb(0.0, KULLIE)
+        with pytest.raises(DomainError):
+            LaserCoulomb(math.inf, KULLIE)
+        with pytest.raises(DomainError):
+            LaserCoulomb(math.nan, KULLIE)

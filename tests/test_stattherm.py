@@ -9,9 +9,7 @@ from tunneltimes.stattherm import (
     bracket,
     entropy,
     entropy_maximum,
-    evaluate_state,
     inverse_temperature,
-    thermal_energy,
 )
 
 
@@ -77,22 +75,6 @@ class TestInverseTemperature:
         )
 
 
-class TestThermalEnergy:
-    def test_full_transmission(self):
-        assert thermal_energy(1.0, 1.0) == pytest.approx(2.0 * math.pi, rel=1e-15)
-
-    def test_sign_follows_temperature(self):
-        assert thermal_energy(0.5, -2.0) < 0.0
-
-    def test_opaque_limit_window_closes(self):
-        assert 0.0 < thermal_energy(1e-12, 1.0) < 1e-11
-
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            thermal_energy(bad, 1.0)
-
-
 class TestEntropyMaximum:
     def test_frozen_location_and_value(self):
         p_star, s_star = entropy_maximum()
@@ -113,17 +95,3 @@ class TestEntropyMaximum:
         p_star, s_star = entropy_maximum()
         assert entropy(p_star - 0.01) < s_star
         assert entropy(p_star + 0.01) < s_star
-
-
-class TestEvaluateState:
-    def test_components_agree(self):
-        st = evaluate_state(1.0, 1.0)
-        assert st.entropy_over_kB == entropy(math.exp(-2.0))
-        assert st.inv_kBT == inverse_temperature(1.0, 1.0)
-        assert st.bracket_value == bracket(1.0)
-
-    def test_underflow_limit_is_well_defined(self):
-        st = evaluate_state(400.0, 100.0)
-        assert st.entropy_over_kB == 0.0
-        assert st.inv_kBT == 0.0
-        assert st.bracket_value < 0.0

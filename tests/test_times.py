@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tunneltimes.errors import DomainError, RegimeError
-from tunneltimes.potentials import KULLIE, LaserCoulomb, Rectangular, Triangular
+from tunneltimes.potentials import KULLIE, SAE, LaserCoulomb, Rectangular, Triangular
 from tunneltimes.stattherm import PHI_STAR, bracket, inverse_temperature
 from tunneltimes.times import (
     dwell_time_rectangular,
@@ -73,6 +73,13 @@ class TestEttGeneral:
     def test_transmission_domain(self):
         with pytest.raises(DomainError):
             ett_general(1.0, 1.0, 0.0)
+
+    def test_overflow_rejected(self):
+        # at a subnormal energy exp(-2 phi)/p_t ~ 1/E exceeds the float range
+        with pytest.raises(DomainError):
+            ett_rectangular(1e-310, 1.0, 2.0)
+        with pytest.raises(DomainError):
+            ett_general(1.0, 0.0, 1e-320)
 
 
 class TestSpecializations:
@@ -149,6 +156,16 @@ class TestPhaseAndDwell:
         assert abs(dw[1] - dw[0]) / dw[0] < 1e-3
         assert et[1] / et[0] > 1.5
 
+    def test_tiny_energy(self):
+        # phi_e^3 ~ 1e-449 underflows; the closed forms must not divide by
+        # it. Reference values: the unsimplified formulas at 60 digits.
+        assert phase_time_rectangular(1e-300, 1.0, 2.0) == pytest.approx(
+            1.0070114730592384e150, rel=1e-12
+        )
+        assert dwell_time_rectangular(1e-300, 1.0, 2.0) == pytest.approx(
+            1.0468134018409807e-150, rel=1e-12
+        )
+
 
 class TestTriangularScalings:
     def test_exact_values(self):
@@ -216,6 +233,20 @@ class TestTimesReport:
         report = times_report(resolve_problem(Rectangular(1.0, 2.0), 0.5))
         inv = inverse_temperature(report.phi, report.tau_c)
         assert report.kBT == pytest.approx(1.0 / inv, rel=1e-12)
+
+    def test_thick_rectangle_matches_closed_form(self):
+        # phi = 500: exp(-2 phi) and p_t are both 0 in double precision
+        report = times_report(resolve_problem(Rectangular(1.0, 500.0), 0.5))
+        assert report.p_t_used == 0.0
+        assert report.ett == pytest.approx(ett_rectangular(0.5, 1.0, 500.0), rel=1e-12)
+
+    def test_thick_helium_barrier(self):
+        report = times_report(resolve_problem(LaserCoulomb(1e-4, SAE), -0.904))
+        assert report.phi > 354.0
+        assert report.p_t_used == 0.0
+        assert math.isfinite(report.ett) and report.ett > 0.0
+        assert report.ett == pytest.approx(ett_he(report.tau_c, report.phi), rel=1e-15)
+        assert report.kBT == math.inf
 
     def test_thin_barrier_flag_cleared(self):
         report = times_report(resolve_problem(Rectangular(1.0, 0.5), 0.9))

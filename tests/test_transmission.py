@@ -148,8 +148,16 @@ class TestNumericOracle:
         with pytest.raises(DomainError):
             pt_numeric(LaserCoulomb(0.04, KULLIE), -0.904)
 
+    def test_overflowing_amplitudes_rejected(self, recwarn):
+        # kappa * L = 800 is past the float range of the swept amplitudes
+        with pytest.raises(DomainError):
+            pt_numeric(Rectangular(1.0, 800.0), 0.5)
+        assert len(recwarn) == 0
+
     def test_slice_budget_validated(self):
         with pytest.raises(DomainError):
             pt_numeric(Rectangular(1.0, 2.0), 0.5, slices=32)
         with pytest.raises(DomainError):
             pt_numeric(Rectangular(1.0, 2.0), 0.5, mass=0.0)
+        with pytest.raises(DomainError):
+            pt_numeric(Rectangular(1.0, 2.0), 0.5, mass=math.nan)

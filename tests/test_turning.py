@@ -188,3 +188,5 @@ class TestResolve:
     def test_mass_validated(self):
         with pytest.raises(DomainError):
             resolve_problem(Rectangular(1.0, 2.0), 0.5, mass=-1.0)
+        with pytest.raises(DomainError):
+            resolve_problem(Rectangular(1.0, 2.0), 0.5, mass=math.inf)

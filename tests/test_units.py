@@ -9,9 +9,6 @@ def test_constants_are_pinned():
     assert c.au_energy_in_ev == 27.211386245
     assert c.au_length_in_angstrom == 0.5291772109
     assert c.speed_of_light_au == 137.035999
-    assert c.hbar_au == 1.0
-    assert c.electron_mass_au == 1.0
-    assert c.boltzmann_scale == 1.0
 
 
 def test_to_attoseconds_examples():

@@ -12,7 +12,6 @@ from tunneltimes.wkb import (
     classical_time,
     compute_wkb,
     dphi_dE,
-    momentum_magnitude,
 )
 
 HE_ENERGY = -0.904
@@ -20,39 +19,6 @@ HE_ENERGY = -0.904
 
 def rect_problem(v0=1.0, length=2.0, energy=0.5, mass=1.0):
     return resolve_problem(Rectangular(v0, length), energy, mass=mass)
-
-
-class TestMomentum:
-    def test_rectangular_interior(self):
-        p = rect_problem()
-        for x in (0.0, 0.5, 1.0, 2.0):
-            assert momentum_magnitude(p, x) == pytest.approx(1.0, rel=1e-15)
-
-    def test_kullie_hand_value(self):
-        # V(11) = -1.375/11 - 0.44, so 2m(V - E) = 0.678
-        p = resolve_problem(LaserCoulomb(0.04, KULLIE), HE_ENERGY)
-        assert momentum_magnitude(p, 11.0) == pytest.approx(
-            math.sqrt(0.678), rel=1e-12
-        )
-
-    def test_vanishes_at_smooth_turning_points(self):
-        p = resolve_problem(LaserCoulomb(0.04, KULLIE), HE_ENERGY)
-        assert momentum_magnitude(p, p.x_left) < 1e-6
-        assert momentum_magnitude(p, p.x_right) < 1e-6
-
-    def test_outside_region_rejected(self):
-        p = rect_problem()
-        with pytest.raises(DomainError):
-            momentum_magnitude(p, -0.1)
-        with pytest.raises(DomainError):
-            momentum_magnitude(p, 2.1)
-
-    def test_interior_zero_flagged(self):
-        # hand-built problem whose window extends past the barrier support,
-        # so V - E < 0 well inside the integration range
-        bad = TunnelingProblem(0.5, 1.0, Rectangular(1.0, 2.0), 0.0, 3.0)
-        with pytest.raises(SingularityError):
-            momentum_magnitude(bad, 2.5)
 
 
 class TestActionPhi:
