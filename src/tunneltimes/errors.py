@@ -32,7 +32,8 @@ class BracketFailure(TunnelTimesError):
 
 
 class QuadratureFailure(TunnelTimesError):
-    """Adaptive quadrature could not meet its tolerance within budget."""
+    """Neither the panel rule nor the adaptive fallback could certify a
+    barrier integral to quad_tol."""
 
 
 class SingularityError(TunnelTimesError):

@@ -5,9 +5,11 @@ ramp, a laser-dressed Coulomb potential V(x) = -Z_eff(x)/x - F*x on x > 0,
 and a tabulated potential interpolated from samples. Everything is an
 immutable value; evaluation is pure. Each family owns its facts: V(x) as
 ``potential``, the maximum as ``peak``, ``turning_points`` through the solver
-that suits it, ``root_brackets`` for the bracketed solver and
-``oracle_slices`` for the transfer-matrix oracle. Effective-charge models are
-callables: ``model(x)`` is Z_eff(x).
+that suits it, ``root_brackets`` for the bracketed solver, ``panel_edges``
+where the barrier integrals start a new quadrature panel and
+``oracle_slices`` for the transfer-matrix oracle. Effective-charge models
+are callables: ``model(x)`` is Z_eff(x). ``potential`` and the models take a
+float or a numpy array; a float in gives a float out.
 """
 
 import math
@@ -56,6 +58,31 @@ def _check_finite(obj) -> None:
             )
 
 
+def _any(mask) -> bool:
+    """Whether any element of a scalar or array comparison is true."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _float_or_array(v):
+    """A 0-d result as a float; arrays pass through."""
+    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
+
+
+_ONE_PANEL = np.empty(0)
+
+
+def _doubling(d: float, span: float):
+    """Offsets into a window of length span of panel edges that double in
+    length away from a singularity d beyond the window's near end.
+
+    Every panel then sees the singularity at the same relative distance, so
+    a fixed-order rule converges on each however close it is; the last panel
+    is at least as long as the one before it.
+    """
+    r = d * 2.0 ** np.arange(1, 64)
+    return r[r <= 0.5 * (span + d)] - d
+
+
 def _midpoints(a: float, b: float, slices: int):
     """Slice width and slice midpoints of [a, b]."""
     h = (b - a) / slices
@@ -73,7 +100,8 @@ class ConstantZeff:
         if not self.z > 0:
             raise DomainError(f"constant Z_eff must be positive, got {self.z}")
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
+        # broadcasts against an array x
         return self.z
 
 
@@ -98,12 +126,14 @@ class SaeZeff:
     def __post_init__(self):
         _check_finite(self)
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
+        # math.exp keeps the scalar calls of the root and peak searches cheap
+        exp = np.exp if isinstance(x, np.ndarray) else math.exp
         return (
             self.Z
-            + self.a1 * math.exp(-self.a2 * x)
-            + self.a3 * x * math.exp(-self.a4 * x)
-            + self.a5 * math.exp(-self.a6 * x)
+            + self.a1 * exp(-self.a2 * x)
+            + self.a3 * x * exp(-self.a4 * x)
+            + self.a5 * exp(-self.a6 * x)
         )
 
 
@@ -155,12 +185,17 @@ class Rectangular:
         if not self.length > 0:
             raise DomainError(f"barrier length must be positive, got {self.length}")
 
-    def potential(self, x: float) -> float:
-        return self.v0 if 0.0 <= x <= self.length else 0.0
+    def potential(self, x):
+        return _float_or_array(np.where((0.0 <= x) & (x <= self.length), self.v0, 0.0))
 
     def peak(self):
         # any interior point qualifies; the midpoint is returned
         return 0.5 * self.length, self.v0
+
+    def panel_edges(self, energy: float, lo: float, hi: float):
+        """Interior x in (lo, hi) where the barrier integrals at energy start
+        a new quadrature panel; V is constant here, so there are none."""
+        return _ONE_PANEL
 
     def turning_points(self, energy: float):
         return turning_points_bracketed(self, energy)
@@ -196,11 +231,18 @@ class Triangular:
         if not self.length > 0:
             raise DomainError(f"barrier length must be positive, got {self.length}")
 
-    def potential(self, x: float) -> float:
-        return self.v0 - self.slope * x if 0.0 <= x <= self.length else 0.0
+    def potential(self, x):
+        inside = (0.0 <= x) & (x <= self.length)
+        return _float_or_array(np.where(inside, self.v0 - self.slope * x, 0.0))
 
     def peak(self):
         return 0.0, self.v0
+
+    def panel_edges(self, energy: float, lo: float, hi: float):
+        # a ramp cut short by the support leaves sqrt(V - E) a branch point
+        # at the ramp's own root, d beyond the window
+        d = (self.v0 - energy) / self.slope - hi
+        return hi - _doubling(d, hi - lo)[::-1] if d > 0.0 else _ONE_PANEL
 
     def turning_points(self, energy: float):
         return turning_points_bracketed(self, energy)
@@ -235,12 +277,14 @@ class LaserCoulomb:
         if not self.field > 0:
             raise DomainError(f"field strength must be positive, got {self.field}")
 
-    def potential(self, x: float) -> float:
-        if x <= 0.0:
-            raise DomainError(f"laser-Coulomb barrier is defined for x > 0, got {x}")
+    def potential(self, x):
+        if _any(x <= 0.0):
+            raise DomainError(
+                f"laser-Coulomb barrier is defined for x > 0, got {np.min(x)}"
+            )
         z = self.zeff(x)
-        if z <= 0.0:
-            raise DomainError(f"Z_eff({x}) = {z} is not positive")
+        if _any(z <= 0.0):
+            raise DomainError(f"Z_eff = {np.min(z)} is not positive")
         return -z / x - self.field * x
 
     def peak(self):
@@ -256,6 +300,12 @@ class LaserCoulomb:
             options={"xatol": 1e-10},
         )
         return float(res.x), -float(res.fun)
+
+    def panel_edges(self, energy: float, lo: float, hi: float):
+        # V has a pole at x = 0, a distance lo before the window: one panel
+        # converges too slowly once hi/lo is large. A window reaching x <= 0
+        # is rejected by the integrand itself
+        return lo + _doubling(lo, hi - lo) if lo > 0.0 else _ONE_PANEL
 
     def turning_points(self, energy: float):
         if isinstance(self.zeff, ConstantZeff):
@@ -310,35 +360,46 @@ class Tabulated:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "_interp", PchipInterpolator(x, v, extrapolate=False))
 
-    def potential(self, x: float) -> float:
-        if x < self.x[0] or x > self.x[-1]:
+    def potential(self, x):
+        if _any((x < self.x[0]) | (x > self.x[-1])):
             raise DomainError(
-                f"x = {x} outside tabulated range [{self.x[0]}, {self.x[-1]}]"
+                f"x in [{np.min(x)}, {np.max(x)}] leaves the tabulated range "
+                f"[{self.x[0]}, {self.x[-1]}]"
             )
-        return float(self._interp(x))
+        return _float_or_array(self._interp(x))
 
     def peak(self):
+        # PCHIP gives an interior extremum sample zero slope and is monotone
+        # on every knot interval, so the interpolant peaks at the largest
+        # sample
         i = int(np.argmax(self.v))
         if i == 0 or i == self.x.size - 1:
             raise NoPeak("tabulated potential has no interior maximum")
-        res = minimize_scalar(
-            lambda x: -float(self._interp(x)),
-            bounds=(self.x[i - 1], self.x[i + 1]),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return float(res.x), -float(res.fun)
+        return float(self.x[i]), float(self.v[i])
+
+    def panel_edges(self, energy: float, lo: float, hi: float):
+        # the knots strictly inside (lo, hi): the interpolant is one cubic
+        # between them, but only C^1 across them
+        return self.x[np.searchsorted(self.x, lo, "right"):np.searchsorted(self.x, hi)]
 
     def turning_points(self, energy: float):
         return turning_points_bracketed(self, energy)
 
     def root_brackets(self, energy: float, x_peak: float):
-        lo, hi = float(self.x[0]), float(self.x[-1])
-        if self.potential(lo) >= energy or self.potential(hi) >= energy:
+        # monotone knot intervals: walking out from the peak, the first
+        # sample below E closes the one interval that holds the crossing
+        i = int(np.searchsorted(self.x, x_peak))
+        below = np.flatnonzero(self.v < energy)
+        left, right = below[below < i], below[below > i]
+        if not (left.size and right.size):
             raise BracketFailure(
-                "tabulated potential does not drop below E at the sample edges"
+                "tabulated potential does not drop below E on both sides of the peak"
             )
-        return (lo, x_peak), (x_peak, hi)
+        j, k = left[-1], right[0]
+        return (
+            (float(self.x[j]), float(self.x[j + 1])),
+            (float(self.x[k - 1]), float(self.x[k])),
+        )
 
     def oracle_slices(self, slices: int):
         # flat leads at the edge samples
@@ -362,8 +423,9 @@ def tabulated_from_file(path) -> Tabulated:
     return Tabulated(data[:, 0], data[:, 1])
 
 
-def eval_potential(b: Barrier, x: float) -> float:
-    """Evaluate V(x) for any barrier family.
+def eval_potential(b: Barrier, x):
+    """Evaluate V(x) for any barrier family, at a float or elementwise on a
+    numpy array.
 
     Raises
     ------

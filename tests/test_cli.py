@@ -14,6 +14,52 @@ def run_cli(argv, capsys):
     return rc, out, err
 
 
+def write_samples(tmp_path, xs, vs):
+    path = tmp_path / "barrier.dat"
+    path.write_text("\n".join(f"{x:.17g} {v:.17g}" for x, v in zip(xs, vs)))
+    return str(path)
+
+
+def pchip_integrals_mp(xs, vs, energy):
+    """phi and tau_c of the PCHIP through (xs, vs), one knot interval at a
+    time: the two crossing intervals by 30-digit root finding and
+    tanh-sinh quadrature, the interior ones by double-precision tanh-sinh."""
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.interpolate import PchipInterpolator
+
+    slopes = PchipInterpolator(xs, vs).derivative()(xs)
+
+    def hermite(ctx, i):
+        x0 = ctx.mpf(xs[i])
+        h = ctx.mpf(xs[i + 1]) - x0
+        y0, y1, d0, d1 = (ctx.mpf(c) for c in (vs[i], vs[i + 1], slopes[i], slopes[i + 1]))
+
+        def v(x):
+            t = (x - x0) / h
+            return ((2 * t**3 - 3 * t**2 + 1) * y0 + (t**3 - 2 * t**2 + t) * h * d0
+                    + (-2 * t**3 + 3 * t**2) * y1 + (t**3 - t**2) * h * d1)
+
+        return v
+
+    def add(ctx, v, a, b, sums):
+        sums[0] += ctx.quad(lambda x: ctx.sqrt(2 * (v(x) - energy)), [a, b])
+        sums[1] += ctx.quad(lambda x: 1 / ctx.sqrt(2 * (v(x) - energy)), [a, b])
+
+    peak = int(np.argmax(vs))
+    below = np.flatnonzero(vs < energy)
+    j, k = below[below < peak][-1], below[below > peak][0]
+    sums = [mpmath.mpf(0), mpmath.mpf(0)]
+    with mpmath.workdps(30):
+        for i, rising in ((j, True), (k - 1, False)):
+            v = hermite(mpmath.mp, i)
+            lo, hi = mpmath.mpf(xs[i]), mpmath.mpf(xs[i + 1])
+            root = mpmath.findroot(lambda x: v(x) - energy, (lo, hi), solver="anderson")
+            add(mpmath.mp, v, *((root, hi) if rising else (lo, root)), sums)
+        for i in range(j + 1, k - 1):
+            add(mpmath.fp, hermite(mpmath.fp, i), xs[i], xs[i + 1], sums)
+        return float(sums[0]), float(sums[1])
+
+
 def parse_kv(text):
     """Parse the aligned key-value stream of `times` and `oracle`."""
     pairs = {}
@@ -82,23 +128,37 @@ class TestTimes:
         assert float(kv["phi"]) == pytest.approx(6.8846533, rel=1e-5)
         assert float(kv["tau_c_au"]) == pytest.approx(31.60058, rel=1e-5)
 
-    def test_tabulated_default_tolerance_too_tight(self, tmp_path, capsys):
-        # sampled barriers cannot certify the 1e-10 default; the error must
-        # say so rather than return an uncertified number
+    def test_tabulated_default_tolerance_matches_mpmath(self, tmp_path, capsys):
         xs = np.linspace(1.64, 20.96, 801)
         vs = -1.375 / xs - 0.04 * xs + 0.904
-        path = tmp_path / "barrier.dat"
-        path.write_text(
-            "\n".join(f"{x:.17g} {v:.17g}" for x, v in zip(xs, vs))
-        )
-        rc, _, err = run_cli(
-            ["times", "--barrier", "tabulated", "--file", str(path),
+        rc, out, _ = run_cli(
+            ["times", "--barrier", "tabulated", "--file", write_samples(tmp_path, xs, vs),
              "--energy", "0.2"],
+            capsys,
+        )
+        assert rc == 0
+        kv = parse_kv(out)
+        phi, tau_c = pchip_integrals_mp(xs, vs, 0.2)
+        assert float(kv["phi"]) == pytest.approx(phi, rel=1e-10)
+        assert float(kv["tau_c_au"]) == pytest.approx(tau_c, rel=1e-10)
+
+    @pytest.mark.parametrize("quad_tol", ["1e-10", "1e-8"])
+    def test_tabulated_near_touching_dip_fails_honestly(self, tmp_path, capsys, quad_tol):
+        # two humps whose middle dip, a knot, sits 1e-6 above E: p nearly
+        # vanishes inside the forbidden region, the panel rule does not
+        # converge there, and the adaptive fallback cannot certify either
+        xs = np.linspace(-8.0, 8.0, 401)
+        vs = np.exp(-((xs - 2.0) ** 2)) + np.exp(-((xs + 2.0) ** 2))
+        energy = float(vs[200]) - 1e-6
+        rc, _, err = run_cli(
+            ["times", "--barrier", "tabulated", "--file", write_samples(tmp_path, xs, vs),
+             "--energy", repr(energy), "--quad-tol", quad_tol],
             capsys,
         )
         assert rc == 3
         assert "QuadratureFailure" in err
         assert "quad_tol" in err
+        assert "roundoff error is detected" in err
 
     def test_over_barrier_exit_code(self, capsys):
         rc, _, err = run_cli(

@@ -22,11 +22,11 @@ from tunneltimes.experiments import (
     write_json,
 )
 from tunneltimes.stattherm import PHI_STAR
-from tunneltimes.times import tau_c_rectangular, times_report
+from tunneltimes.times import ett_he, tau_c_rectangular, times_report
 from tunneltimes.turning import resolve_problem
 from tunneltimes.potentials import LaserCoulomb, Rectangular
 from tunneltimes.units import angstrom_to_au, ev_to_au, to_attoseconds, to_femtoseconds
-from tunneltimes.wkb import classical_time
+from tunneltimes.wkb import _integrate_adaptive, classical_time
 
 
 class TestTable1:
@@ -56,6 +56,17 @@ class TestTable1:
             assert (row.x_L, row.x_R) == (problem.x_left, problem.x_right)
             assert row.tau_c_as == to_attoseconds(report.tau_c)
             assert row.ett_as == to_attoseconds(report.ett)
+
+    def test_rows_match_adaptive_quadrature(self):
+        # the fixed-order panel rule against Gauss-Kronrod at the tightest
+        # tolerance
+        for row in run_table1():
+            barrier = LaserCoulomb(row.field, HE_MODELS[row.model])
+            problem = resolve_problem(barrier, HE_ENERGY_AU)
+            phi = _integrate_adaptive(problem, False, 1e-13)
+            tau_c = _integrate_adaptive(problem, True, 1e-13)
+            assert row.tau_c_as == pytest.approx(to_attoseconds(tau_c), rel=1e-12)
+            assert row.ett_as == pytest.approx(to_attoseconds(ett_he(tau_c, phi)), rel=1e-12)
 
 
 class TestKeldysh:

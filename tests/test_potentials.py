@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tunneltimes.errors import DomainError, NoPeak
+from tunneltimes.errors import BracketFailure, DomainError, NoPeak
 from tunneltimes.potentials import (
     CLEMENTI,
     KULLIE,
@@ -87,6 +87,74 @@ class TestEvalPotential:
             eval_potential(b, 0.0)
         with pytest.raises(DomainError):
             eval_potential(b, -1.0)
+
+
+def _sech2(knots, v0=1.0, a=1.0):
+    xs = np.linspace(-10.0 * a, 10.0 * a, knots)
+    return Tabulated(xs, v0 / np.cosh(xs / a) ** 2)
+
+
+class TestVectorizedPotential:
+    @pytest.mark.parametrize(
+        "barrier, xs",
+        [
+            (Rectangular(1.0, 2.0), np.linspace(-0.5, 2.5, 13)),
+            (Triangular(1.0, 0.25, 4.0), np.linspace(-1.0, 5.0, 13)),
+            (LaserCoulomb(0.04, KULLIE), np.linspace(0.5, 30.0, 13)),
+            (LaserCoulomb(0.04, SAE), np.linspace(0.5, 30.0, 13)),
+            (_sech2(50), np.linspace(-10.0, 10.0, 13)),
+        ],
+    )
+    def test_scalar_and_array_agree(self, barrier, xs):
+        scalars = [barrier.potential(float(x)) for x in xs]
+        assert all(type(v) is float for v in scalars)
+        values = barrier.potential(xs)
+        assert isinstance(values, np.ndarray)
+        np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
+        assert barrier.potential(xs.reshape(13, 1)).shape == (13, 1)
+
+    @pytest.mark.parametrize("model", [SAE, KULLIE])
+    def test_zeff_scalar_and_array_agree(self, model):
+        xs = np.linspace(0.0, 40.0, 9)
+        scalars = [model(float(x)) for x in xs]
+        assert all(type(z) is float for z in scalars)
+        np.testing.assert_allclose(model(xs), scalars, rtol=1e-15, atol=0.0)
+
+    def test_array_domain_checked(self):
+        with pytest.raises(DomainError):
+            LaserCoulomb(0.04, KULLIE).potential(np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(DomainError):
+            Tabulated(np.linspace(0.0, 1.0, 8), np.ones(8)).potential(np.array([0.5, 1.1]))
+
+
+class TestTabulatedPeakAndBrackets:
+    def test_peak_is_the_largest_sample(self):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            xs = np.sort(rng.uniform(-8.0, 8.0, 60))
+            vs = rng.uniform(0.5, 2.0) / np.cosh((xs - rng.uniform(-1, 1)) / rng.uniform(0.5, 2))
+            b = Tabulated(xs, vs)
+            i = int(np.argmax(vs))
+            assert b.peak() == (xs[i], vs[i])
+            # PCHIP is monotone on each knot interval, so nothing between
+            # the samples rises above the largest one
+            assert b.potential(np.linspace(xs[0], xs[-1], 20001)).max() <= vs[i]
+
+    def test_brackets_are_the_crossing_knot_intervals(self):
+        b = _sech2(101)
+        energy = 0.3
+        x_peak, _ = b.peak()
+        for (lo, hi), rising in zip(b.root_brackets(energy, x_peak), (True, False)):
+            i = int(np.searchsorted(b.x, lo))
+            assert (b.x[i], b.x[i + 1]) == (lo, hi)
+            below, above = (lo, hi) if rising else (hi, lo)
+            assert b.potential(below) < energy <= b.potential(above)
+
+    def test_bracket_failure_without_a_crossing(self):
+        xs = np.linspace(0.0, 1.0, 10)
+        b = Tabulated(xs, 1.0 - (xs - 0.2) ** 2)
+        with pytest.raises(BracketFailure):
+            b.root_brackets(0.5, b.peak()[0])
 
 
 class TestBarrierPeak:

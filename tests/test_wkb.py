@@ -1,9 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
+from tunneltimes import wkb
 from tunneltimes.errors import DomainError, SingularityError
-from tunneltimes.potentials import CLEMENTI, KULLIE, LaserCoulomb, Rectangular, Triangular
+from tunneltimes.potentials import (
+    CLEMENTI,
+    KULLIE,
+    SAE,
+    LaserCoulomb,
+    Rectangular,
+    Tabulated,
+    Triangular,
+)
+from tunneltimes.times import phi_rectangular, tau_c_rectangular, triangular_scalings
 from tunneltimes.turning import TunnelingProblem, resolve_problem
 from tunneltimes.units import to_attoseconds
 from tunneltimes.wkb import (
@@ -15,6 +26,22 @@ from tunneltimes.wkb import (
 )
 
 HE_ENERGY = -0.904
+ADAPTIVE = wkb._integrate_adaptive
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    """Fail the test if an integral leaves the fixed-order panel rule."""
+
+    def fail(*args):
+        raise AssertionError("adaptive fallback taken")
+
+    monkeypatch.setattr(wkb, "_integrate_adaptive", fail)
+
+
+def sech2_barrier(knots, v0=1.0, a=1.0, span=10.0):
+    x = np.linspace(-span * a, span * a, knots)
+    return Tabulated(x, v0 / np.cosh(x / a) ** 2)
 
 
 def rect_problem(v0=1.0, length=2.0, energy=0.5, mass=1.0):
@@ -44,6 +71,11 @@ class TestActionPhi:
         tight = action_phi(p, quad_tol=1e-12)
         assert abs(loose - tight) / tight < 1e-9
 
+    def test_window_reaching_the_coulomb_pole_flagged(self):
+        bad = TunnelingProblem(HE_ENERGY, 1.0, LaserCoulomb(0.04, KULLIE), 0.0, 20.0)
+        with pytest.raises(SingularityError):
+            action_phi(bad)
+
     def test_quad_tol_validated(self):
         p = rect_problem()
         with pytest.raises(DomainError):
@@ -51,10 +83,13 @@ class TestActionPhi:
         with pytest.raises(DomainError):
             action_phi(p, quad_tol=1e-14)
 
-    def test_interior_zero_flagged(self):
+    def test_interior_zero_flagged(self, no_fallback):
+        # raised by the vectorized panel rule, before any fallback
         bad = TunnelingProblem(0.5, 1.0, Rectangular(1.0, 2.0), 0.0, 3.0)
         with pytest.raises(SingularityError):
             action_phi(bad)
+        with pytest.raises(SingularityError):
+            compute_wkb(bad)
 
 
 class TestClassicalTime:
@@ -108,3 +143,95 @@ class TestComputeWkb:
 
     def test_default_tolerance_exported(self):
         assert QUAD_TOL_DEFAULT == 1e-10
+
+
+class TestPanelRule:
+    @pytest.mark.parametrize(
+        "v0, length, energy", [(1.0, 2.0, 0.5), (2.0, 40.0, 0.1), (0.5, 0.5, 0.45)]
+    )
+    def test_rectangular_closed_forms(self, no_fallback, v0, length, energy):
+        q = compute_wkb(resolve_problem(Rectangular(v0, length), energy), quad_tol=1e-13)
+        assert q.phi == pytest.approx(phi_rectangular(energy, v0, length), rel=1e-13)
+        assert q.tau_c == pytest.approx(tau_c_rectangular(energy, v0, length), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "v0, slope, length, energy",
+        [(1.0, 0.25, 4.0, 0.5), (2.0, 1.0, 3.0, 0.1), (1.0, 0.5, 10.0, 0.95)],
+    )
+    def test_triangular_scalings(self, no_fallback, v0, slope, length, energy):
+        q = compute_wkb(resolve_problem(Triangular(v0, slope, length), energy))
+        phi, tau_c = triangular_scalings(v0, energy, slope, length)
+        assert q.phi == pytest.approx(phi, rel=1e-12)
+        assert q.tau_c == pytest.approx(tau_c, rel=1e-12)
+
+    @pytest.mark.parametrize("knots", [200, 1000])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    def test_sech2_closed_form(self, no_fallback, knots, frac):
+        # V0 sech^2(x/a): phi = pi a sqrt(2m) (sqrt(V0) - sqrt(E)) and
+        # tau_c = pi a sqrt(m / (2E)), up to the PCHIP error O(h^2)
+        v0, a = 1.3, 0.8
+        energy = frac * v0
+        q = compute_wkb(resolve_problem(sech2_barrier(knots, v0, a), energy))
+        h = 20.0 * a / (knots - 1)
+        tol = 2.0 * h * h
+        phi = math.pi * a * math.sqrt(2.0) * (math.sqrt(v0) - math.sqrt(energy))
+        assert q.phi == pytest.approx(phi, rel=tol)
+        assert q.tau_c == pytest.approx(math.pi * a / math.sqrt(2.0 * energy), rel=tol)
+
+    @pytest.mark.parametrize("zeff", [KULLIE, SAE])
+    @pytest.mark.parametrize("field", [0.04, 0.07, 0.11])
+    def test_coulomb_matches_adaptive(self, no_fallback, zeff, field):
+        p = resolve_problem(LaserCoulomb(field, zeff), HE_ENERGY)
+        q = compute_wkb(p)
+        phi = ADAPTIVE(p, False, 1e-13)
+        tau_c = ADAPTIVE(p, True, 1e-13)
+        assert q.phi == pytest.approx(phi, rel=1e-12)
+        assert q.tau_c == pytest.approx(tau_c, rel=1e-12)
+
+    def test_fallback_when_rules_disagree(self, monkeypatch):
+        # two humps whose middle dip, a knot, sits 1e-6 above E: p nearly
+        # vanishes there, the n- and 2n-node rules disagree on tau_c, and the
+        # adaptive path takes over for both integrals
+        xs = np.linspace(-8.0, 8.0, 101)
+        vs = np.exp(-((xs - 2.0) ** 2)) + np.exp(-((xs + 2.0) ** 2))
+        p = resolve_problem(Tabulated(xs, vs), float(vs[50]) - 1e-6)
+        calls = []
+
+        def spy(problem, want_time, quad_tol):
+            calls.append(want_time)
+            return ADAPTIVE(problem, want_time, quad_tol)
+
+        monkeypatch.setattr(wkb, "_integrate_adaptive", spy)
+        q = compute_wkb(p, quad_tol=1e-6)
+        assert calls == [False, True]
+        assert q.phi == ADAPTIVE(p, False, 1e-6)
+        assert q.tau_c == ADAPTIVE(p, True, 1e-6)
+
+    def test_truncated_ramp_graded_toward_its_root(self, no_fallback):
+        # the support ends just short of the ramp root, so p stays small but
+        # nonzero at x_R; panels graded toward the root keep the rule exact
+        v0, slope, energy = 1.0, 0.25, 0.5
+        for gap in (1e-2, 1e-4, 1e-8):
+            length = (v0 - energy) / slope * (1.0 - gap)
+            q = compute_wkb(resolve_problem(Triangular(v0, slope, length), energy))
+            top, bottom = v0 - energy, v0 - energy - slope * length
+            phi = 2.0 * math.sqrt(2.0) / (3.0 * slope) * (top**1.5 - bottom**1.5)
+            tau_c = math.sqrt(2.0) / slope * (math.sqrt(top) - math.sqrt(bottom))
+            assert q.phi == pytest.approx(phi, rel=1e-10)
+            assert q.tau_c == pytest.approx(tau_c, rel=1e-10)
+
+    def test_one_potential_evaluation_serves_both_integrals(self, monkeypatch):
+        calls = []
+        evaluate = wkb.eval_potential
+
+        def counting(barrier, x):
+            calls.append(np.shape(x))
+            return evaluate(barrier, x)
+
+        monkeypatch.setattr(wkb, "eval_potential", counting)
+        compute_wkb(resolve_problem(LaserCoulomb(0.05, CLEMENTI), HE_ENERGY))
+        assert len(calls) == 1
+
+    def test_tabulated_energy_derivative_is_classical_time(self, no_fallback):
+        p = resolve_problem(sech2_barrier(500), 0.3)
+        assert -dphi_dE(p) == pytest.approx(classical_time(p), rel=1e-7)
