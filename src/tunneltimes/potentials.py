@@ -9,7 +9,12 @@ that suits it, ``root_brackets`` for the bracketed solver, ``panel_edges``
 where the barrier integrals start a new quadrature panel and
 ``oracle_slices`` for the transfer-matrix oracle. Effective-charge models
 are callables: ``model(x)`` is Z_eff(x). ``potential`` and the models take a
-float or a numpy array; a float in gives a float out.
+float or a numpy array; a float in gives a float out, and NaN raises
+``DomainError``.
+
+scipy is imported only where a barrier needs it (the tabulated interpolant
+and the position-dependent Coulomb peak search), so the closed-form
+families load numpy alone.
 """
 
 import math
@@ -18,8 +23,6 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
 
 from .errors import BracketFailure, DomainError, NoPeak
 from .turning import (
@@ -58,9 +61,15 @@ def _check_finite(obj) -> None:
             )
 
 
-def _any(mask) -> bool:
-    """Whether any element of a scalar or array comparison is true."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+def _all(mask) -> bool:
+    """Whether every element of a scalar or array comparison is true."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _check_not_nan(x) -> None:
+    """Reject a NaN position, scalar or anywhere in an array."""
+    if np.isnan(x).any() if isinstance(x, np.ndarray) else x != x:
+        raise DomainError("potential evaluated at NaN")
 
 
 def _float_or_array(v):
@@ -186,6 +195,7 @@ class Rectangular:
             raise DomainError(f"barrier length must be positive, got {self.length}")
 
     def potential(self, x):
+        _check_not_nan(x)
         return _float_or_array(np.where((0.0 <= x) & (x <= self.length), self.v0, 0.0))
 
     def peak(self):
@@ -232,6 +242,7 @@ class Triangular:
             raise DomainError(f"barrier length must be positive, got {self.length}")
 
     def potential(self, x):
+        _check_not_nan(x)
         inside = (0.0 <= x) & (x <= self.length)
         return _float_or_array(np.where(inside, self.v0 - self.slope * x, 0.0))
 
@@ -278,12 +289,13 @@ class LaserCoulomb:
             raise DomainError(f"field strength must be positive, got {self.field}")
 
     def potential(self, x):
-        if _any(x <= 0.0):
+        # written so that NaN fails the test
+        if not _all(x > 0.0):
             raise DomainError(
                 f"laser-Coulomb barrier is defined for x > 0, got {np.min(x)}"
             )
         z = self.zeff(x)
-        if _any(z <= 0.0):
+        if not _all(z > 0.0):
             raise DomainError(f"Z_eff = {np.min(z)} is not positive")
         return -z / x - self.field * x
 
@@ -293,6 +305,8 @@ class LaserCoulomb:
         if isinstance(self.zeff, ConstantZeff):
             z = self.zeff.z
             return math.sqrt(z / self.field), -2.0 * math.sqrt(z * self.field)
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             lambda x: -self.potential(x),
             bounds=_PEAK_BRACKET,
@@ -358,10 +372,13 @@ class Tabulated:
             raise DomainError("sample positions must be strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)
+        from scipy.interpolate import PchipInterpolator
+
         object.__setattr__(self, "_interp", PchipInterpolator(x, v, extrapolate=False))
 
     def potential(self, x):
-        if _any((x < self.x[0]) | (x > self.x[-1])):
+        # written so that NaN fails the test
+        if not _all((self.x[0] <= x) & (x <= self.x[-1])):
             raise DomainError(
                 f"x in [{np.min(x)}, {np.max(x)}] leaves the tabulated range "
                 f"[{self.x[0]}, {self.x[-1]}]"

@@ -17,8 +17,6 @@ this module takes absolute values: signs are reported, not hidden.
 import math
 from functools import lru_cache
 
-from scipy.optimize import brentq
-
 from .errors import DomainError
 
 __all__ = [
@@ -35,17 +33,23 @@ def bracket(phi: float) -> float:
 
     Continuous and strictly decreasing; positive below PHI_STAR, negative
     above it.
+
+    Raises
+    ------
+    DomainError
+        phi is negative or NaN.
     """
+    if not phi >= 0.0:
+        raise DomainError(f"action phi must be >= 0, got {phi}")
     u = 1.0 + 2.0 * phi
     return 1.0 / u - math.log(u)
 
 
-def _solve_phi_star() -> float:
-    # bisection of B on [0.3, 0.5]; B(0.3) > 0 > B(0.5)
-    lo, hi = 0.3, 0.5
-    while hi - lo > 1e-14:
+def _bisect_decreasing(f, lo: float, hi: float, xtol: float) -> float:
+    """The zero of a strictly decreasing f with f(lo) > 0 > f(hi)."""
+    while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        if bracket(mid) > 0.0:
+        if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -53,7 +57,7 @@ def _solve_phi_star() -> float:
 
 
 # single source of truth for the positivity domain of the entropic time
-PHI_STAR = _solve_phi_star()
+PHI_STAR = _bisect_decreasing(bracket, 0.3, 0.5, 1e-14)
 
 
 def entropy(p_m: float) -> float:
@@ -68,7 +72,9 @@ def inverse_temperature(phi: float, tau_c: float) -> float:
 
     Positive exactly when phi > PHI_STAR.
     """
-    return -2.0 * tau_c * math.exp(-2.0 * phi) * bracket(phi)
+    # B first: it rejects a negative phi before exp(-2 phi) can overflow
+    b = bracket(phi)
+    return -2.0 * tau_c * math.exp(-2.0 * phi) * b
 
 
 @lru_cache(maxsize=1)
@@ -79,8 +85,9 @@ def entropy_maximum():
     -------
     (p_star, s_star) : tuple of float
         Stationary point of the entropy and its value. Solves
-        dS/dp = log(1 - log p) - 1/(1 - log p) = 0.
+        dS/dp = log(1 - log p) - 1/(1 - log p) = 0, which is strictly
+        decreasing on (0, 1).
     """
     dsdp = lambda p: math.log1p(-math.log(p)) - 1.0 / (1.0 - math.log(p))
-    p_star = brentq(dsdp, 0.1, 0.9, xtol=1e-15, rtol=8.9e-16)
-    return float(p_star), entropy(float(p_star))
+    p_star = _bisect_decreasing(dsdp, 0.1, 0.9, 1e-15)
+    return p_star, entropy(p_star)

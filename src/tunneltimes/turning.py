@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from scipy.optimize import brentq
-
 from .errors import BracketFailure, DomainError, NoConvergence, OverBarrier
 
 if TYPE_CHECKING:
@@ -101,6 +99,9 @@ def turning_points_quadratic(z: float, energy: float, field: float):
 
 
 def _brent_root(b, energy, lo, hi):
+    # imported here: the closed-form solver paths never reach it
+    from scipy.optimize import brentq
+
     f = lambda x: b.potential(x) - energy
     root = brentq(f, lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=200)
     return float(root)

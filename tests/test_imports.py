@@ -1,0 +1,68 @@
+"""The closed-form paths load numpy only: scipy stays out of ``sys.modules``.
+
+One fresh interpreter imports the package, then runs ``cli.main`` on each
+command in turn and reports which scipy modules are loaded after each step.
+The last step is an SAE run, which needs scipy; it shows that the probe does
+see scipy once something imports it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tunneltimes
+
+STEPS = {
+    "rect": ["times", "--barrier", "rect", "--v0", "1", "--length", "2", "--energy", "0.5"],
+    "triangular": ["times", "--barrier", "triangular", "--v0", "1", "--slope", "0.25",
+                   "--length", "4", "--energy", "0.5"],
+    "laser-kullie": ["times", "--barrier", "laser-coulomb", "--field", "0.05",
+                     "--zeff", "kullie", "--energy", "-0.904"],
+    "et-scan": ["et-scan", "--length-steps", "6"],
+    "laser-sae": ["times", "--barrier", "laser-coulomb", "--field", "0.05",
+                  "--zeff", "sae", "--energy", "-0.904"],
+}
+
+PROBE = """
+import contextlib, io, json, sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = {}
+import tunneltimes
+report["import"] = {"status": 0, "scipy": scipy_loaded()}
+from tunneltimes.cli import main
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    report[name] = {"status": status, "scipy": scipy_loaded()}
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def report():
+    src = str(Path(tunneltimes.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(STEPS)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("step", ["import", "rect", "triangular", "laser-kullie", "et-scan"])
+def test_closed_form_paths_do_not_load_scipy(report, step):
+    assert report[step] == {"status": 0, "scipy": []}
+
+
+def test_sae_run_still_succeeds_and_loads_scipy(report):
+    assert report["laser-sae"]["status"] == 0
+    assert "scipy.optimize" in report["laser-sae"]["scipy"]

@@ -120,6 +120,22 @@ class TestVectorizedPotential:
         assert all(type(z) is float for z in scalars)
         np.testing.assert_allclose(model(xs), scalars, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "barrier",
+        [
+            Rectangular(1.0, 2.0),
+            Triangular(1.0, 0.25, 4.0),
+            LaserCoulomb(0.04, KULLIE),
+            LaserCoulomb(0.04, SAE),
+            _sech2(50),
+        ],
+    )
+    def test_nan_rejected(self, barrier):
+        with pytest.raises(DomainError):
+            barrier.potential(math.nan)
+        with pytest.raises(DomainError):
+            barrier.potential(np.array([1.0, math.nan]))
+
     def test_array_domain_checked(self):
         with pytest.raises(DomainError):
             LaserCoulomb(0.04, KULLIE).potential(np.array([1.0, 0.0, 2.0]))

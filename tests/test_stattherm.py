@@ -43,6 +43,11 @@ class TestBracket:
     def test_sign_change_location(self):
         assert bracket(0.3816) > 0.0 > bracket(0.3817)
 
+    @pytest.mark.parametrize("bad", [-1.0, -0.6, -0.5, -1e-300, math.nan])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            bracket(bad)
+
 
 class TestPhiStar:
     def test_frozen_value(self):
@@ -73,6 +78,11 @@ class TestInverseTemperature:
         assert inverse_temperature(1.0, 5.0) == pytest.approx(
             5.0 * inverse_temperature(1.0, 1.0), rel=1e-15
         )
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -1000.0])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            inverse_temperature(bad, 1.0)
 
 
 class TestEntropyMaximum:
