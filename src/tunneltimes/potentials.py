@@ -171,6 +171,9 @@ def zeff_model(name: str) -> ZeffModel:
 
 def eval_zeff(model: ZeffModel, x: float) -> float:
     """Evaluate Z_eff at x >= 0."""
+    # checked here, not in the models, which the root searches call directly
+    if not _all(x >= 0.0):
+        raise DomainError(f"Z_eff evaluated outside x >= 0, got {x}")
     return model(x)
 
 
@@ -218,10 +221,10 @@ class Rectangular:
         return (0.0, 0.0), (self.length, self.length)
 
     def oracle_slices(self, slices: int):
-        """(support start, slice width, left and right lead levels, V at the
-        slice midpoints) for the transfer-matrix oracle."""
+        """(slice width, left and right lead levels, V at the slice
+        midpoints) for the transfer-matrix oracle."""
         h, _ = _midpoints(0.0, self.length, slices)
-        return 0.0, h, 0.0, 0.0, np.full(slices, float(self.v0))
+        return h, 0.0, 0.0, np.full(slices, float(self.v0))
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,7 @@ class Triangular:
 
     def oracle_slices(self, slices: int):
         h, mids = _midpoints(0.0, self.length, slices)
-        return 0.0, h, 0.0, 0.0, self.v0 - self.slope * mids
+        return h, 0.0, 0.0, self.v0 - self.slope * mids
 
 
 # Bracket for the numeric peak search; every turning-point configuration the
@@ -420,9 +423,8 @@ class Tabulated:
 
     def oracle_slices(self, slices: int):
         # flat leads at the edge samples
-        a, b = float(self.x[0]), float(self.x[-1])
-        h, mids = _midpoints(a, b, slices)
-        return a, h, float(self.v[0]), float(self.v[-1]), self._interp(mids)
+        h, mids = _midpoints(float(self.x[0]), float(self.x[-1]), slices)
+        return h, float(self.v[0]), float(self.v[-1]), self._interp(mids)
 
 
 Barrier = Union[Rectangular, Triangular, LaserCoulomb, Tabulated]

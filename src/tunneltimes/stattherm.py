@@ -74,6 +74,8 @@ def inverse_temperature(phi: float, tau_c: float) -> float:
     """
     # B first: it rejects a negative phi before exp(-2 phi) can overflow
     b = bracket(phi)
+    if not math.isfinite(tau_c):
+        raise DomainError(f"classical time must be finite, got {tau_c}")
     return -2.0 * tau_c * math.exp(-2.0 * phi) * b
 
 

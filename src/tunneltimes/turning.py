@@ -59,9 +59,11 @@ class TunnelingProblem:
     def __post_init__(self):
         if not 0.0 < self.mass < math.inf:
             raise DomainError(f"mass must be positive and finite, got {self.mass}")
-        if self.x_left > self.x_right:
+        # written so that a NaN turning point fails the test
+        if not self.x_left <= self.x_right:
             raise DomainError(
-                f"turning points out of order: {self.x_left} > {self.x_right}"
+                f"turning points must be ordered numbers, got "
+                f"{self.x_left}, {self.x_right}"
             )
 
     @property

@@ -49,6 +49,12 @@ class TestZeff:
         assert min(vals) > 0.999
         assert max(vals) <= 2.0
 
+    @pytest.mark.parametrize("model", [SAE, KULLIE])
+    @pytest.mark.parametrize("x", [math.nan, -1.0, np.array([1.0, math.nan])])
+    def test_outside_domain_rejected(self, model, x):
+        with pytest.raises(DomainError):
+            eval_zeff(model, x)
+
     def test_resolver(self):
         assert zeff_model("kullie") is KULLIE
         assert zeff_model("SAE") is SAE

@@ -84,6 +84,11 @@ class TestInverseTemperature:
         with pytest.raises(DomainError):
             inverse_temperature(bad, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_c_rejected(self, bad):
+        with pytest.raises(DomainError):
+            inverse_temperature(1.0, bad)
+
 
 class TestEntropyMaximum:
     def test_frozen_location_and_value(self):

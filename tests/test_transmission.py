@@ -73,6 +73,11 @@ class TestWkb:
         vals = [pt_wkb(p) for p in np.linspace(0.0, 30.0, 61)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("bad", [math.nan, -1e-300, -1.0])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            pt_wkb(bad)
+
 
 class TestNumericOracle:
     def test_free_particle_is_transparent(self):
@@ -154,6 +159,28 @@ class TestNumericOracle:
             pt_numeric(Rectangular(1.0, 800.0), 0.5)
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_rejected(self, bad):
+        with pytest.raises(DomainError, match="energy"):
+            pt_numeric(Rectangular(1.0, 2.0), bad)
+
+    def test_opaque_barrier_transmits_nothing_quietly(self, recwarn):
+        # kappa * L = 400: the product is finite, but |A|^2 overflows, so
+        # p_t is 0 (p_r is nan until it is read from amplitude ratios)
+        res = pt_numeric(Rectangular(1.0, 400.0), 0.5)
+        assert res.p_t == 0.0
+        assert len(recwarn) == 0
+
+    def test_slice_midpoint_at_the_energy(self):
+        # with an odd count the middle slice of this ramp sits exactly at
+        # E, where the slice propagator is [[1, h], [0, 1]]
+        b = Triangular(1.0, 0.25, 4.0)
+        p64, p65, p4096, p4097 = (
+            pt_numeric(b, 0.5, slices=n).p_t for n in (64, 65, 4096, 4097)
+        )
+        assert abs(p65 - p64) / p64 < 1e-4
+        assert abs(p4097 - p4096) / p4096 < 1e-8
+
     def test_slice_budget_validated(self):
         with pytest.raises(DomainError):
             pt_numeric(Rectangular(1.0, 2.0), 0.5, slices=32)
@@ -161,3 +188,44 @@ class TestNumericOracle:
             pt_numeric(Rectangular(1.0, 2.0), 0.5, mass=0.0)
         with pytest.raises(DomainError):
             pt_numeric(Rectangular(1.0, 2.0), 0.5, mass=math.nan)
+
+
+class TestOracleReferences:
+    @pytest.mark.parametrize("ratio", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("kappa_l", [0.1, 1.0, 20.0, 80.0, 300.0])
+    def test_rectangular_matches_exact(self, ratio, kappa_l):
+        # the piecewise-constant slicing of a rectangle is exact
+        length = kappa_l / math.sqrt(2.0 * (1.0 - ratio))
+        res = pt_numeric(Rectangular(1.0, length), ratio)
+        exact = pt_rectangular_exact(ratio, 1.0, kappa_l)
+        assert abs(res.p_t - exact) <= 1e-12 * exact
+        assert abs(res.p_t + res.p_r - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "barrier, energy",
+        [(Triangular(1.0, 0.25, 4.0), 0.5), (tanh_box(), 0.5)],
+    )
+    def test_matches_30_digit_plane_wave_sweep(self, barrier, energy):
+        mp = pytest.importorskip("mpmath")
+        slices = 256
+        h, v_left, v_right, vs = barrier.oracle_slices(slices)
+        with mp.workdps(30):
+            # plane waves in every region, matched at each interface from a
+            # unit transmitted wave back to the incident side; x is measured
+            # from the left edge, which changes only the amplitudes' phases
+            e = mp.mpf(energy)
+            ks = [mp.sqrt(2 * (e - mp.mpf(v))) for v in (v_left, *vs, v_right)]
+            amp_a, amp_b = mp.mpc(1), mp.mpc(0)
+            for i in range(slices, -1, -1):
+                x = mp.mpf(h) * i
+                k_l, k_r = ks[i], ks[i + 1]
+                u = amp_a * mp.expj(k_r * x)
+                v = amp_b * mp.expj(-k_r * x)
+                r = k_r / k_l
+                amp_a = (((1 + r) * u + (1 - r) * v) / 2) * mp.expj(-k_l * x)
+                amp_b = (((1 - r) * u + (1 + r) * v) / 2) * mp.expj(k_l * x)
+            p_t = float(mp.re(ks[-1] / ks[0]) / abs(amp_a) ** 2)
+            p_r = float(abs(amp_b) ** 2 / abs(amp_a) ** 2)
+        res = pt_numeric(barrier, energy, slices=slices)
+        assert abs(res.p_t - p_t) <= 1e-12 * p_t
+        assert abs(res.p_r - p_r) <= 1e-12 * p_r

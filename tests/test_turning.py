@@ -41,6 +41,13 @@ class TestProblemContainer:
         with pytest.raises(DomainError):
             TunnelingProblem(0.5, 1.0, Rectangular(1.0, 2.0), 2.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "x_left, x_right", [(math.nan, 2.0), (0.0, math.nan), (math.nan, math.nan)]
+    )
+    def test_nan_turning_point_rejected(self, x_left, x_right):
+        with pytest.raises(DomainError):
+            TunnelingProblem(0.5, 1.0, Rectangular(1.0, 2.0), x_left, x_right)
+
 
 class TestQuadratic:
     def test_kullie_weak_field(self):
