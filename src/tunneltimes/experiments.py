@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, OverBarrier
-from .potentials import CLEMENTI, KULLIE, SAE, LaserCoulomb, ZeffModel
-from .times import ett_rectangular, tau_c_rectangular, times_report
+from .potentials import CLEMENTI, KULLIE, SAE, LaserCoulomb, Rectangular, ZeffModel
+from .times import times_report
 from .turning import resolve_problem
 from .units import angstrom_to_au, ev_to_au, to_attoseconds, to_femtoseconds
 from .wkb import QUAD_TOL_DEFAULT
@@ -206,32 +206,29 @@ def et_scan(
     """Rectangular-barrier electron-transfer scan.
 
     For each (delta_e_eff, length) pair a barrier of height
-    v0 = E + delta_e_eff is traversed at energy E; the closed-form classical
-    and entropic times are converted to femtoseconds. The closed forms give
-    the numbers times_report would, without its quadrature. comparable_flag
-    marks points whose entropic time reaches the 5 fs vibration half-period
-    scale.
+    v0 = E + delta_e_eff is traversed at energy E through times_report, and
+    its classical and entropic times are converted to femtoseconds.
+    comparable_flag marks points whose entropic time reaches the 5 fs
+    vibration half-period scale.
     """
-    if not energy_ev > 0:
-        raise DomainError(f"energy must be positive, got {energy_ev} eV")
-    if any(de <= 0 for de in delta_e_grid_ev):
-        raise DomainError("all delta_e_eff values must be positive")
-    if any(l <= 0 for l in length_grid_angstrom):
-        raise DomainError("all lengths must be positive")
+    for name, values in (("energy_ev", (energy_ev,)), ("delta_e_grid_ev", delta_e_grid_ev),
+                         ("length_grid_angstrom", length_grid_angstrom)):
+        bad = [v for v in values if not 0.0 < v < math.inf]
+        if bad:
+            raise DomainError(f"{name} must be positive and finite, got {bad[0]}")
     energy_au = ev_to_au(energy_ev)
     points = []
     for delta_e in delta_e_grid_ev:
         v0_au = energy_au + ev_to_au(delta_e)
         for length in length_grid_angstrom:
-            length_au = angstrom_to_au(length)
-            tau_c = tau_c_rectangular(energy_au, v0_au, length_au)
-            ett = ett_rectangular(energy_au, v0_au, length_au)
-            ett_fs = to_femtoseconds(ett)
+            barrier = Rectangular(v0_au, angstrom_to_au(length))
+            report = times_report(resolve_problem(barrier, energy_au))
+            ett_fs = to_femtoseconds(report.ett)
             points.append(
                 EtScanPoint(
                     delta_e_eff=float(delta_e),
                     length_angstrom=float(length),
-                    tau_c_fs=to_femtoseconds(tau_c),
+                    tau_c_fs=to_femtoseconds(report.tau_c),
                     ett_fs=ett_fs,
                     comparable_flag=ett_fs >= ET_FLAG_THRESHOLD_FS,
                 )

@@ -5,8 +5,8 @@ ramp, a laser-dressed Coulomb potential V(x) = -Z_eff(x)/x - F*x on x > 0,
 and a tabulated potential interpolated from samples. Everything is an
 immutable value; evaluation is pure. Each family owns its facts: V(x) as
 ``potential``, the maximum as ``peak``, ``turning_points`` through the solver
-that suits it, ``root_brackets`` for the bracketed solver, ``panel_edges``
-where the barrier integrals start a new quadrature panel and
+that suits it, ``root_brackets`` for the bracketed solver, ``closed_form``
+and ``panel_edges`` for the barrier integrals, exact or by quadrature, and
 ``oracle_slices`` for the transfer-matrix oracle. Effective-charge models
 are callables: ``model(x)`` is Z_eff(x). ``potential`` and the models take a
 float or a numpy array; a float in gives a float out, and NaN raises
@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BracketFailure, DomainError, NoPeak
+from .errors import BracketFailure, DomainError, NoConvergence, NoPeak
 from .turning import (
     turning_points_bracketed,
     turning_points_quadratic,
@@ -205,6 +205,15 @@ class Rectangular:
         # any interior point qualifies; the midpoint is returned
         return 0.5 * self.length, self.v0
 
+    def closed_form(self, energy: float, x_left: float, x_right: float, mass: float):
+        """Exact (phi, tau_c) over the window [x_left, x_right] at energy, or
+        None; V - E is a constant d > 0 on a window inside the support, so
+        phi = sqrt(2 m d) w / hbar and tau_c = w sqrt(m / (2 d)) over width w."""
+        if 0.0 <= x_left and x_right <= self.length and energy < self.v0:
+            d, w = self.v0 - energy, x_right - x_left
+            return math.sqrt(2.0 * mass * d) * w, w * math.sqrt(mass / (2.0 * d))
+        return None
+
     def panel_edges(self, energy: float, lo: float, hi: float):
         """Interior x in (lo, hi) where the barrier integrals at energy start
         a new quadrature panel; V is constant here, so there are none."""
@@ -252,6 +261,16 @@ class Triangular:
     def peak(self):
         return 0.0, self.v0
 
+    def closed_form(self, energy: float, x_left: float, x_right: float, mass: float):
+        # exact on the whole ramp, from the support edge to the ramp's own
+        # root, where V - E falls from d = v0 - E to zero: phi = (2/3) k d /
+        # hbar and tau_c = k, k = sqrt(2 m d) / slope. A ramp cut short by
+        # the support stays with the panel rule
+        if x_left == 0.0 < x_right == (self.v0 - energy) / self.slope <= self.length:
+            k = math.sqrt(2.0 * mass * (self.v0 - energy)) / self.slope
+            return (2.0 / 3.0) * k * (self.v0 - energy), k
+        return None
+
     def panel_edges(self, energy: float, lo: float, hi: float):
         # a ramp cut short by the support leaves sqrt(V - E) a branch point
         # at the ramp's own root, d beyond the window
@@ -272,11 +291,6 @@ class Triangular:
     def oracle_slices(self, slices: int):
         h, mids = _midpoints(0.0, self.length, slices)
         return h, 0.0, 0.0, self.v0 - self.slope * mids
-
-
-# Bracket for the numeric peak search; every turning-point configuration the
-# experiments reach lies well inside (benchmark roots span [1.2, 21.5] a.u.).
-_PEAK_BRACKET = (0.1, 100.0)
 
 
 @dataclass(frozen=True)
@@ -304,7 +318,8 @@ class LaserCoulomb:
 
     def peak(self):
         # constant Z_eff peaks at sqrt(z/field) with value -2*sqrt(z*field);
-        # a position-dependent Z_eff falls back to a bounded numeric search
+        # a position-dependent Z_eff falls back to a bounded numeric search,
+        # whose upper end 4/sqrt(field) holds the weak-field peak for Z <= 16
         if isinstance(self.zeff, ConstantZeff):
             z = self.zeff.z
             return math.sqrt(z / self.field), -2.0 * math.sqrt(z * self.field)
@@ -312,10 +327,12 @@ class LaserCoulomb:
 
         res = minimize_scalar(
             lambda x: -self.potential(x),
-            bounds=_PEAK_BRACKET,
+            bounds=(0.1, max(100.0, 4.0 / math.sqrt(self.field))),
             method="bounded",
             options={"xatol": 1e-10},
         )
+        if not res.success:
+            raise NoConvergence(f"barrier peak search failed: {res.message}")
         return float(res.x), -float(res.fun)
 
     def panel_edges(self, energy: float, lo: float, hi: float):
@@ -323,6 +340,9 @@ class LaserCoulomb:
         # converges too slowly once hi/lo is large. A window reaching x <= 0
         # is rejected by the integrand itself
         return lo + _doubling(lo, hi - lo) if lo > 0.0 else _ONE_PANEL
+
+    def closed_form(self, energy: float, x_left: float, x_right: float, mass: float):
+        return None
 
     def turning_points(self, energy: float):
         if isinstance(self.zeff, ConstantZeff):
@@ -401,6 +421,9 @@ class Tabulated:
         # the knots strictly inside (lo, hi): the interpolant is one cubic
         # between them, but only C^1 across them
         return self.x[np.searchsorted(self.x, lo, "right"):np.searchsorted(self.x, hi)]
+
+    def closed_form(self, energy: float, x_left: float, x_right: float, mass: float):
+        return None
 
     def turning_points(self, energy: float):
         return turning_points_bracketed(self, energy)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, RegimeError
-from .potentials import Rectangular
+from .potentials import Rectangular, Triangular
 from .stattherm import PHI_STAR, bracket, inverse_temperature
-from .transmission import pt_rectangular_exact, pt_wkb
+from .transmission import _rectangular_terms, pt_wkb
 from .turning import TunnelingProblem
 from .wkb import QUAD_TOL_DEFAULT, compute_wkb
 
@@ -53,13 +53,13 @@ def _check_under_barrier(energy: float, v0: float):
 def phi_rectangular(energy: float, v0: float, length: float, mass: float = 1.0) -> float:
     """Closed-form action sqrt(2m(v0 - E)) * L / hbar."""
     _check_under_barrier(energy, v0)
-    return math.sqrt(2.0 * mass * (v0 - energy)) * length
+    return Rectangular(v0, length).closed_form(energy, 0.0, length, mass)[0]
 
 
 def tau_c_rectangular(energy: float, v0: float, length: float, mass: float = 1.0) -> float:
     """Closed-form classical time m*L^2/(hbar*phi) = L*sqrt(m/(2(v0 - E)))."""
     _check_under_barrier(energy, v0)
-    return length * math.sqrt(mass / (2.0 * (v0 - energy)))
+    return Rectangular(v0, length).closed_form(energy, 0.0, length, mass)[1]
 
 
 def _ett(tau_c: float, phi: float, rho: float) -> float:
@@ -75,14 +75,6 @@ def _rho_wkb(phi: float) -> float:
     # overflows nor cancels at large phi
     q = 0.5 * (1.0 + math.exp(-2.0 * phi))
     return q * q
-
-
-def _rho_rectangular(energy: float, v0: float, phi: float) -> float:
-    # exp(-2 phi)/p_t = exp(-2 phi) + v0^2 (1 - exp(-2 phi))^2 / (16 E (v0 - E)),
-    # with expm1 so both the thin- and thick-barrier ends are accurate
-    em = math.exp(-2.0 * phi)
-    one_minus = -math.expm1(-2.0 * phi)
-    return em + v0 * v0 * one_minus * one_minus / (16.0 * energy * (v0 - energy))
 
 
 def ett_general(tau_c: float, phi: float, p_t: float) -> float:
@@ -117,29 +109,23 @@ def ett_rectangular(energy: float, v0: float, length: float, mass: float = 1.0) 
     """
     phi = phi_rectangular(energy, v0, length, mass)
     tau_c = tau_c_rectangular(energy, v0, length, mass)
-    return _ett(tau_c, phi, _rho_rectangular(energy, v0, phi))
+    return _ett(tau_c, phi, _box_terms(energy, v0, length, mass, phi, tau_c)[1])
 
 
-def _phase_dwell_terms(energy: float, v0: float, length: float, mass: float):
-    """Common prefix of the rectangular phase and dwell times: pref =
-    tau_c / (2 phi^2 phi_e), p_t phi (phi^2 - phi_e^2), phi^2 + phi_e^2,
-    phi_e^2 and s = p_t sinh(phi) cosh(phi) / phi_e^2.
-
-    sinh*cosh growth cancels against the exact p_t decay, and phi_e^2
-    against p_t ~ E through 4 E (v0 - E) / phi_e^2 = 2 (v0 - E) / (m L^2),
-    so only phi_e itself divides and tiny energies do not underflow.
+def _box_terms(energy: float, v0: float, length: float, mass: float, phi: float, tau_c: float):
+    """p_t, rho = exp(-2 phi)/p_t and the phase and dwell times of the box
+    with action phi and classical time tau_c, from one exp(-2 phi)/expm1
+    evaluation. s = p_t sinh(phi) cosh(phi) / phi_e^2 cancels sinh*cosh
+    growth against the p_t decay, and phi_e^2 against p_t ~ E, so only phi_e
+    divides and tiny energies do not underflow.
     """
-    phi = phi_rectangular(energy, v0, length, mass)
-    tau_c = tau_c_rectangular(energy, v0, length, mass)
+    p_t, em, one_minus, den = _rectangular_terms(energy, v0, phi)
+    rho = em + v0 * v0 * one_minus * one_minus / (16.0 * energy * (v0 - energy))
     phi_e2 = 2.0 * mass * energy * length * length
-    g = 4.0 * energy * (v0 - energy)
-    em2 = math.exp(-2.0 * phi)
-    one_m2 = -math.expm1(-2.0 * phi)
-    den = g * em2 + 0.25 * v0 * v0 * one_m2 * one_m2
-    p_t = g * em2 / den
     s = 0.5 * (v0 - energy) / (mass * length * length) * -math.expm1(-4.0 * phi) / den
     pref = tau_c / (2.0 * phi * phi * math.sqrt(phi_e2))
-    return pref, p_t * phi * (phi * phi - phi_e2), phi * phi + phi_e2, phi_e2, s
+    head, summ = p_t * phi * (phi * phi - phi_e2), phi * phi + phi_e2
+    return p_t, rho, pref * (head + summ * summ * s), pref * (head + summ * phi_e2 * s)
 
 
 def phase_time_rectangular(
@@ -155,8 +141,9 @@ def phase_time_rectangular(
 
     Saturates at (hbar/E) sqrt(E/(v0 - E)) for wide barriers.
     """
-    pref, head, summ, _, s = _phase_dwell_terms(energy, v0, length, mass)
-    return pref * (head + summ * summ * s)
+    phi = phi_rectangular(energy, v0, length, mass)
+    tau_c = tau_c_rectangular(energy, v0, length, mass)
+    return _box_terms(energy, v0, length, mass, phi, tau_c)[2]
 
 
 def dwell_time_rectangular(
@@ -170,8 +157,9 @@ def dwell_time_rectangular(
 
     Saturates at (hbar/v0) sqrt(E/(v0 - E)) for wide barriers.
     """
-    pref, head, summ, phi_e2, s = _phase_dwell_terms(energy, v0, length, mass)
-    return pref * (head + summ * phi_e2 * s)
+    phi = phi_rectangular(energy, v0, length, mass)
+    tau_c = tau_c_rectangular(energy, v0, length, mass)
+    return _box_terms(energy, v0, length, mass, phi, tau_c)[3]
 
 
 def triangular_scalings(
@@ -201,10 +189,7 @@ def triangular_scalings(
             f"turning point (v0 - E)/field = {(v0 - energy) / field:.6g} lies "
             f"beyond the support length {length}"
         )
-    ratio = (v0 - energy) / (field * length)
-    phi_tri = (2.0 / 3.0) * ratio * phi_rectangular(energy, v0, length, mass)
-    tau_c_tri = 2.0 * ratio * tau_c_rectangular(energy, v0, length, mass)
-    return phi_tri, tau_c_tri
+    return Triangular(v0, field, length).closed_form(energy, 0.0, (v0 - energy) / field, mass)
 
 
 @dataclass(frozen=True)
@@ -240,10 +225,8 @@ def times_report(
     phi, tau_c = quantities.phi, quantities.tau_c
     energy, barrier = problem.energy, problem.barrier
     if isinstance(barrier, Rectangular):
-        p_t = pt_rectangular_exact(energy, barrier.v0, phi)
-        rho = _rho_rectangular(energy, barrier.v0, phi)
-        phase = phase_time_rectangular(energy, barrier.v0, barrier.length, problem.mass)
-        dwell = dwell_time_rectangular(energy, barrier.v0, barrier.length, problem.mass)
+        p_t, rho, phase, dwell = _box_terms(energy, barrier.v0, barrier.length,
+                                            problem.mass, phi, tau_c)
     else:
         p_t = pt_wkb(phi)
         rho = _rho_wkb(phi)

@@ -43,6 +43,18 @@ class ScatteringResult:
     grid_points: int
 
 
+def _rectangular_terms(energy: float, v0: float, phi: float):
+    """pt_rectangular_exact's p_t = g*e^{-2phi} / den, with e^{-2phi},
+    1 - e^{-2phi} (by expm1) and den, which the rectangular times reuse."""
+    if not 0.0 < energy < v0:
+        raise DomainError(f"energy must lie in (0, v0) = (0, {v0}), got {energy}")
+    g = 4.0 * energy * (v0 - energy)
+    em = math.exp(-2.0 * phi)
+    one_minus = -math.expm1(-2.0 * phi)
+    den = g * em + 0.25 * v0 * v0 * one_minus * one_minus
+    return g * em / den, em, one_minus, den
+
+
 def pt_rectangular_exact(energy: float, v0: float, phi: float) -> float:
     """Exact rectangular transmission 1/(1 + v0^2 sinh^2(phi)/(4E(v0-E))).
 
@@ -50,12 +62,7 @@ def pt_rectangular_exact(energy: float, v0: float, phi: float) -> float:
     g*e^{-2phi} / (g*e^{-2phi} + v0^2 (1-e^{-2phi})^2 / 4), g = 4E(v0-E),
     valid for any phi >= 0.
     """
-    if not 0.0 < energy < v0:
-        raise DomainError(f"energy must lie in (0, v0) = (0, {v0}), got {energy}")
-    g = 4.0 * energy * (v0 - energy)
-    em = math.exp(-2.0 * phi)
-    one_minus = -math.expm1(-2.0 * phi)
-    return g * em / (g * em + 0.25 * v0 * v0 * one_minus * one_minus)
+    return _rectangular_terms(energy, v0, phi)[0]
 
 
 def pt_wkb(phi: float) -> float:

@@ -11,13 +11,15 @@ diverges there (integrably). The substitution x = x_L + (x_R - x_L)*sin^2(t)
 carries dx = (x_R - x_L)*sin(2t)*dt, which cancels that divergence
 analytically; after the map both integrands are bounded and smooth.
 
-They are integrated by fixed-order Gauss-Legendre panels on the mapped
-variable, with one potential evaluation at all nodes serving both
-integrals. The barrier's ``panel_edges`` set the panels: one per knot interval
-for a tabulated barrier, whose PCHIP interpolant is a cubic on each interval
-but only C^1 across knots; panels that double in length away from a nearby
-singularity of p, the pole at x = 0 of the laser-Coulomb barrier or the root
-of a triangular ramp cut short by its support; a single panel otherwise. Each panel
+A barrier family that knows both integrals in closed form for the window
+(``closed_form``: a rectangle, or a ramp up to its own root) gives them
+exactly. Every other window is integrated by fixed-order Gauss-Legendre
+panels on the mapped variable, with one potential evaluation at all nodes
+serving both integrals. The barrier's ``panel_edges`` set the panels: one per
+knot interval for a tabulated barrier, whose PCHIP interpolant is a cubic on
+each interval but only C^1 across knots; panels that double in length away
+from the pole at x = 0 of the laser-Coulomb barrier or the root of a
+triangular ramp cut short by its support; a single panel otherwise. Each panel
 is evaluated at n and 2n nodes, and the 2n results are accepted when, for
 both integrals, the summed per-panel differences stay within quad_tol of
 them. Otherwise the integral falls back to adaptive Gauss-Kronrod
@@ -172,12 +174,15 @@ def _integrate_adaptive(problem: TunnelingProblem, want_time: bool, quad_tol: fl
 
 
 def _integrate(problem: TunnelingProblem, want_time: bool, quad_tol: float) -> float:
-    """phi (want_time False) or tau_c, certified to quad_tol by the panel
-    rule when it converges on both integrals, or else by the adaptive
-    fallback."""
+    """phi (want_time False) or tau_c: exact where the barrier family has a
+    closed form for the window, else certified to quad_tol by the panel rule
+    when it converges on both integrals, or else by the adaptive fallback."""
     _check_tol(quad_tol)
     if problem.width == 0.0:
         return 0.0
+    exact = problem.barrier.closed_form(problem.energy, problem.x_left, problem.x_right, problem.mass)
+    if exact is not None:
+        return exact[want_time]
     values, errors = _panel_rule(problem)
     # both integrands are built from the same p(x), and tau_c's is the more
     # singular: its convergence is the sharper test that the nodes resolve p

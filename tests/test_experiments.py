@@ -22,11 +22,11 @@ from tunneltimes.experiments import (
     write_json,
 )
 from tunneltimes.stattherm import PHI_STAR
-from tunneltimes.times import ett_he, tau_c_rectangular, times_report
+from tunneltimes.times import ett_he, ett_rectangular, tau_c_rectangular, times_report
 from tunneltimes.turning import resolve_problem
 from tunneltimes.potentials import LaserCoulomb, Rectangular
 from tunneltimes.units import angstrom_to_au, ev_to_au, to_attoseconds, to_femtoseconds
-from tunneltimes.wkb import _integrate_adaptive, classical_time
+from tunneltimes.wkb import _integrate_adaptive
 
 
 class TestTable1:
@@ -173,9 +173,30 @@ class TestEtScan:
         v0_au = energy_au + ev_to_au(0.5)
         length_au = angstrom_to_au(10.0)
         problem = resolve_problem(Rectangular(v0_au, length_au), energy_au)
-        tau_quad = to_femtoseconds(classical_time(problem))
+        # classical_time itself returns the closed form on a rectangle
+        tau_quad = to_femtoseconds(_integrate_adaptive(problem, True, 1e-10))
         tau_closed = to_femtoseconds(tau_c_rectangular(energy_au, v0_au, length_au))
         assert tau_closed == pytest.approx(tau_quad, rel=1e-9)
+
+    def test_every_point_is_times_report(self):
+        # bit for bit, and equal to the closed forms the scan used before it
+        # went through times_report, so its CSV is unchanged
+        energy_au = ev_to_au(1.0)
+        for p in et_scan():
+            v0_au = energy_au + ev_to_au(p.delta_e_eff)
+            length_au = angstrom_to_au(p.length_angstrom)
+            report = times_report(resolve_problem(Rectangular(v0_au, length_au), energy_au))
+            assert p.tau_c_fs == to_femtoseconds(report.tau_c)
+            assert p.ett_fs == to_femtoseconds(report.ett)
+            assert p.tau_c_fs == to_femtoseconds(tau_c_rectangular(energy_au, v0_au, length_au))
+            assert p.ett_fs == to_femtoseconds(ett_rectangular(energy_au, v0_au, length_au))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["energy_ev", "delta_e_grid_ev", "length_grid_angstrom"])
+    def test_non_finite_input_is_named(self, name, bad):
+        value = bad if name == "energy_ev" else (0.5, bad)
+        with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
+            et_scan(**{name: value})
 
     def test_validation(self):
         with pytest.raises(DomainError):

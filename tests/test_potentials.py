@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tunneltimes.errors import BracketFailure, DomainError, NoPeak
+from tunneltimes.errors import BracketFailure, DomainError, NoConvergence, NoPeak
 from tunneltimes.potentials import (
     CLEMENTI,
     KULLIE,
@@ -20,6 +20,7 @@ from tunneltimes.potentials import (
     tabulated_from_file,
     zeff_model,
 )
+from tunneltimes.turning import resolve_problem
 
 
 class TestZeff:
@@ -212,6 +213,44 @@ class TestBarrierPeak:
         x_peak, v_max = barrier_peak(b)
         assert eval_potential(b, x_peak + delta) < v_max
         assert eval_potential(b, x_peak - delta) < v_max
+
+    @pytest.mark.parametrize("field", [5e-5, 1e-5])
+    def test_sae_weak_field_peak(self, field):
+        # the peak lies near sqrt(1/field), beyond x = 100 at these fields
+        mp = pytest.importorskip("mpmath")
+
+        def v(x):
+            z = (SAE.Z + SAE.a1 * mp.exp(-SAE.a2 * x)
+                 + SAE.a3 * x * mp.exp(-SAE.a4 * x) + SAE.a5 * mp.exp(-SAE.a6 * x))
+            return -z / x - field * x
+
+        with mp.workdps(30):
+            x_ref = mp.findroot(lambda x: mp.diff(v, x), 1.0 / math.sqrt(field))
+            v_ref = v(x_ref)
+        x_peak, v_max = barrier_peak(LaserCoulomb(field, SAE))
+        assert v_max == pytest.approx(float(v_ref), rel=1e-12)
+        # V is flat at its maximum, so a bounded search pins the position
+        # only to about sqrt(machine epsilon) relative
+        assert x_peak == pytest.approx(float(x_ref), rel=1e-7)
+
+    @pytest.mark.parametrize("field", [5e-5, 1e-5])
+    def test_sae_weak_field_resolves_just_below_the_peak(self, field):
+        energy = -1.0001 * 2.0 * math.sqrt(field)
+        b = LaserCoulomb(field, SAE)
+        p = resolve_problem(b, energy)
+        assert p.x_left < b.peak()[0] < p.x_right
+
+    def test_failed_peak_search_raises(self, monkeypatch):
+        import scipy.optimize
+
+        def unconverged(fun, bounds, method, options):
+            return scipy.optimize.OptimizeResult(
+                x=bounds[1], fun=fun(bounds[1]), success=False, message="maxiter"
+            )
+
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", unconverged)
+        with pytest.raises(NoConvergence):
+            barrier_peak(LaserCoulomb(0.04, SAE))
 
     def test_monotone_tabulated_has_no_peak(self):
         xs = np.linspace(0.0, 1.0, 10)

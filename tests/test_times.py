@@ -19,7 +19,7 @@ from tunneltimes.times import (
 )
 from tunneltimes.transmission import pt_rectangular_exact, pt_wkb
 from tunneltimes.turning import resolve_problem
-from tunneltimes.wkb import action_phi, classical_time
+from tunneltimes.wkb import QUAD_TOL_DEFAULT, _integrate_adaptive
 
 RATIO = np.linspace(0.1, 0.9, 9)
 PHI = np.linspace(0.5, 10.0, 9)
@@ -34,10 +34,10 @@ class TestClosedForms:
 
     def test_match_quadrature(self):
         p = resolve_problem(Rectangular(1.0, 2.0), 0.5)
-        assert action_phi(p) == pytest.approx(phi_rectangular(0.5, 1.0, 2.0), rel=1e-10)
-        assert classical_time(p) == pytest.approx(
-            tau_c_rectangular(0.5, 1.0, 2.0), rel=1e-9
-        )
+        phi = _integrate_adaptive(p, False, QUAD_TOL_DEFAULT)
+        tau_c = _integrate_adaptive(p, True, QUAD_TOL_DEFAULT)
+        assert phi == pytest.approx(phi_rectangular(0.5, 1.0, 2.0), rel=1e-10)
+        assert tau_c == pytest.approx(tau_c_rectangular(0.5, 1.0, 2.0), rel=1e-9)
 
 
 class TestEttGeneral:
@@ -188,8 +188,8 @@ class TestTriangularScalings:
     def test_matches_quadrature(self, v0, energy, field, length):
         phi_tri, tau_tri = triangular_scalings(v0, energy, field, length)
         p = resolve_problem(Triangular(v0, field, length), energy)
-        assert action_phi(p) == pytest.approx(phi_tri, rel=1e-8)
-        assert classical_time(p) == pytest.approx(tau_tri, rel=1e-8)
+        assert _integrate_adaptive(p, False, QUAD_TOL_DEFAULT) == pytest.approx(phi_tri, rel=1e-8)
+        assert _integrate_adaptive(p, True, QUAD_TOL_DEFAULT) == pytest.approx(tau_tri, rel=1e-8)
 
     def test_regime_boundary(self):
         # the turning point lands exactly on the support edge at field 0.25

@@ -14,7 +14,12 @@ from tunneltimes.potentials import (
     Tabulated,
     Triangular,
 )
-from tunneltimes.times import phi_rectangular, tau_c_rectangular, triangular_scalings
+from tunneltimes.times import (
+    phi_rectangular,
+    tau_c_rectangular,
+    times_report,
+    triangular_scalings,
+)
 from tunneltimes.turning import TunnelingProblem, resolve_problem
 from tunneltimes.units import to_attoseconds
 from tunneltimes.wkb import (
@@ -46,6 +51,14 @@ def sech2_barrier(knots, v0=1.0, a=1.0, span=10.0):
 
 def rect_problem(v0=1.0, length=2.0, energy=0.5, mass=1.0):
     return resolve_problem(Rectangular(v0, length), energy, mass=mass)
+
+
+def panel_values(problem, quad_tol=QUAD_TOL_DEFAULT):
+    """The panel rule's (phi, tau_c), asserting that its error estimates
+    meet quad_tol, as _integrate requires before it skips the fallback."""
+    values, errors = wkb._panel_rule(problem)
+    assert all(e <= quad_tol * abs(v) for v, e in zip(values, errors))
+    return values
 
 
 class TestActionPhi:
@@ -150,19 +163,74 @@ class TestPanelRule:
         "v0, length, energy", [(1.0, 2.0, 0.5), (2.0, 40.0, 0.1), (0.5, 0.5, 0.45)]
     )
     def test_rectangular_closed_forms(self, no_fallback, v0, length, energy):
-        q = compute_wkb(resolve_problem(Rectangular(v0, length), energy), quad_tol=1e-13)
-        assert q.phi == pytest.approx(phi_rectangular(energy, v0, length), rel=1e-13)
-        assert q.tau_c == pytest.approx(tau_c_rectangular(energy, v0, length), rel=1e-13)
+        phi, tau_c = panel_values(resolve_problem(Rectangular(v0, length), energy), 1e-13)
+        assert phi == pytest.approx(phi_rectangular(energy, v0, length), rel=1e-13)
+        assert tau_c == pytest.approx(tau_c_rectangular(energy, v0, length), rel=1e-13)
 
     @pytest.mark.parametrize(
         "v0, slope, length, energy",
         [(1.0, 0.25, 4.0, 0.5), (2.0, 1.0, 3.0, 0.1), (1.0, 0.5, 10.0, 0.95)],
     )
     def test_triangular_scalings(self, no_fallback, v0, slope, length, energy):
-        q = compute_wkb(resolve_problem(Triangular(v0, slope, length), energy))
-        phi, tau_c = triangular_scalings(v0, energy, slope, length)
-        assert q.phi == pytest.approx(phi, rel=1e-12)
-        assert q.tau_c == pytest.approx(tau_c, rel=1e-12)
+        phi, tau_c = panel_values(resolve_problem(Triangular(v0, slope, length), energy))
+        phi_tri, tau_c_tri = triangular_scalings(v0, energy, slope, length)
+        assert phi == pytest.approx(phi_tri, rel=1e-12)
+        assert tau_c == pytest.approx(tau_c_tri, rel=1e-12)
+
+    def test_rectangle_window_inside_the_support(self, no_fallback):
+        p = TunnelingProblem(0.5, 1.0, Rectangular(1.0, 2.0), 0.3, 1.7)
+        phi, tau_c = panel_values(p, 1e-13)
+        q = compute_wkb(p)
+        assert (q.phi, q.tau_c) == p.barrier.closed_form(0.5, 0.3, 1.7, 1.0)
+        assert q.phi == pytest.approx(phi, rel=1e-13)
+        assert q.tau_c == pytest.approx(tau_c, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "v0, slope, length, energy",
+        [(1.0, 0.25, 4.0, 0.5), (1.0, 0.5, 10.0, 0.95), (2.0, 1.0, 3.0, 0.1)],
+    )
+    def test_full_ramp_closed_form_matches_adaptive(self, v0, slope, length, energy):
+        ramp = Triangular(v0, slope, length)
+        p = resolve_problem(ramp, energy)
+        assert ramp.closed_form(energy, p.x_left, p.x_right, p.mass) is not None
+        q = compute_wkb(p)
+        assert q.phi == pytest.approx(ADAPTIVE(p, False, 1e-13), rel=1e-13)
+        assert q.tau_c == pytest.approx(ADAPTIVE(p, True, 1e-13), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "barrier, energy, integrated",
+        [
+            (Rectangular(1.0, 2.0), 0.5, False),
+            (Triangular(1.0, 0.25, 4.0), 0.5, False),
+            (Triangular(1.0, 0.25, 1.5), 0.5, True),
+            (LaserCoulomb(0.05, KULLIE), HE_ENERGY, True),
+            (sech2_barrier(200), 0.5, True),
+        ],
+        ids=["rect", "full-ramp", "truncated-ramp", "kullie", "tabulated"],
+    )
+    def test_times_report_integrates_only_without_a_closed_form(
+        self, monkeypatch, barrier, energy, integrated
+    ):
+        problem = resolve_problem(barrier, energy)
+        calls = []
+        panel, evaluate = wkb._panel_rule, wkb.eval_potential
+        panel.cache_clear()
+
+        def panel_spy(p):
+            calls.append("_panel_rule")
+            return panel(p)
+
+        def eval_spy(b, x):
+            calls.append("eval_potential")
+            return evaluate(b, x)
+
+        monkeypatch.setattr(wkb, "_panel_rule", panel_spy)
+        monkeypatch.setattr(wkb, "eval_potential", eval_spy)
+        times_report(problem)
+        if integrated:
+            assert {"_panel_rule", "eval_potential"} <= set(calls)
+        else:
+            assert calls == []
 
     @pytest.mark.parametrize("knots", [200, 1000])
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
