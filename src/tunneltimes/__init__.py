@@ -79,7 +79,6 @@ from .turning import (
     resolve_problem,
     turning_points_bracketed,
     turning_points_quadratic,
-    turning_points_selfconsistent,
 )
 from .units import (
     CONSTANTS,

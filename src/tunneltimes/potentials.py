@@ -4,32 +4,30 @@ Four barrier shapes cover the use cases: a rectangular box, a right-triangle
 ramp, a laser-dressed Coulomb potential V(x) = -Z_eff(x)/x - F*x on x > 0,
 and a tabulated potential interpolated from samples. Everything is an
 immutable value; evaluation is pure. Each family owns its facts: V(x) as
-``potential``, the maximum as ``peak``, ``turning_points`` through the solver
-that suits it, ``root_brackets`` for the bracketed solver, ``closed_form``
-and ``panel_edges`` for the barrier integrals, exact or by quadrature, and
-``oracle_slices`` for the transfer-matrix oracle. Effective-charge models
-are callables: ``model(x)`` is Z_eff(x). ``potential`` and the models take a
-float or a numpy array; a float in gives a float out, and NaN raises
-``DomainError``.
+``potential``, the maximum as ``peak``, and ``turning_points`` by one rule:
+in closed form where the family has one (the support edges of a rectangle,
+the edge and linear root of a ramp, the quadratic of a constant Z_eff),
+otherwise by the bracketed Brent solve over the family's ``root_brackets``;
+then ``closed_form`` and ``panel_edges`` for the barrier integrals, exact or
+by quadrature, and ``oracle_slices`` for the transfer-matrix oracle.
+Effective-charge models are callables: ``model(x)`` is Z_eff(x).
+``potential`` and the models take a float or a numpy array; a float in gives
+a float out, and NaN raises ``DomainError``. Each constructor checks its own
+fields with comparisons that NaN and inf fail.
 
-scipy is imported only where a barrier needs it (the tabulated interpolant
-and the position-dependent Coulomb peak search), so the closed-form
-families load numpy alone.
+scipy is imported only where a barrier needs it (the tabulated interpolant,
+and the peak search and Brent solve of a position-dependent Coulomb
+barrier), so the closed-form families load numpy alone.
 """
 
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import BracketFailure, DomainError, NoConvergence, NoPeak
-from .turning import (
-    turning_points_bracketed,
-    turning_points_quadratic,
-    turning_points_selfconsistent,
-)
+from .errors import BracketFailure, DomainError, NoConvergence, NoPeak, OverBarrier
+from .turning import turning_points_bracketed, turning_points_quadratic
 
 __all__ = [
     "ConstantZeff",
@@ -51,14 +49,13 @@ __all__ = [
 ]
 
 
-def _check_finite(obj) -> None:
-    """Reject NaN or infinite numeric fields of a family or Z_eff model."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
-            raise DomainError(
-                f"{type(obj).__name__}.{f.name} must be finite, got {value}"
-            )
+def _check_tunneling(energy: float, v0: float) -> None:
+    """Reject an energy outside (0, v0) for a barrier on a zero floor; NaN
+    fails the second test."""
+    if energy >= v0:
+        raise OverBarrier(f"E = {energy} is not below the barrier maximum {v0:.6g}")
+    if not energy > 0:
+        raise DomainError(f"energy must lie in (0, v0), got {energy}")
 
 
 def _all(mask) -> bool:
@@ -105,9 +102,8 @@ class ConstantZeff:
     z: float
 
     def __post_init__(self):
-        _check_finite(self)
-        if not self.z > 0:
-            raise DomainError(f"constant Z_eff must be positive, got {self.z}")
+        if not 0.0 < self.z < math.inf:
+            raise DomainError(f"ConstantZeff.z must be positive and finite, got {self.z}")
 
     def __call__(self, x):
         # broadcasts against an array x
@@ -133,7 +129,9 @@ class SaeZeff:
     a6: float = 0.480
 
     def __post_init__(self):
-        _check_finite(self)
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"SaeZeff.{name} must be finite, got {value}")
 
     def __call__(self, x):
         # math.exp keeps the scalar calls of the root and peak searches cheap
@@ -191,11 +189,12 @@ class Rectangular:
     length: float
 
     def __post_init__(self):
-        _check_finite(self)
-        if self.v0 < 0:
-            raise DomainError(f"barrier height must be >= 0, got {self.v0}")
-        if not self.length > 0:
-            raise DomainError(f"barrier length must be positive, got {self.length}")
+        if not 0.0 <= self.v0 < math.inf:
+            raise DomainError(f"Rectangular.v0 must be >= 0 and finite, got {self.v0}")
+        if not 0.0 < self.length < math.inf:
+            raise DomainError(
+                f"Rectangular.length must be positive and finite, got {self.length}"
+            )
 
     def potential(self, x):
         _check_not_nan(x)
@@ -220,14 +219,9 @@ class Rectangular:
         return _ONE_PANEL
 
     def turning_points(self, energy: float):
-        return turning_points_bracketed(self, energy)
-
-    def root_brackets(self, energy: float, x_peak: float):
-        # V - E changes sign through a jump at the support edges, which are
-        # the exact bisection limits
-        if not energy > 0:
-            raise DomainError(f"energy must lie in (0, v0), got {energy}")
-        return (0.0, 0.0), (self.length, self.length)
+        # V - E changes sign through a jump at the support edges
+        _check_tunneling(energy, self.v0)
+        return 0.0, self.length
 
     def oracle_slices(self, slices: int):
         """(slice width, left and right lead levels, V at the slice
@@ -245,13 +239,12 @@ class Triangular:
     length: float
 
     def __post_init__(self):
-        _check_finite(self)
-        if not self.v0 > 0:
-            raise DomainError(f"barrier height must be positive, got {self.v0}")
-        if not self.slope > 0:
-            raise DomainError(f"slope must be positive, got {self.slope}")
-        if not self.length > 0:
-            raise DomainError(f"barrier length must be positive, got {self.length}")
+        for name in ("v0", "slope", "length"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(
+                    f"Triangular.{name} must be positive and finite, "
+                    f"got {getattr(self, name)}"
+                )
 
     def potential(self, x):
         _check_not_nan(x)
@@ -278,15 +271,10 @@ class Triangular:
         return hi - _doubling(d, hi - lo)[::-1] if d > 0.0 else _ONE_PANEL
 
     def turning_points(self, energy: float):
-        return turning_points_bracketed(self, energy)
-
-    def root_brackets(self, energy: float, x_peak: float):
         # the entry is the support edge; the exit is the ramp's linear root
         # unless the support truncates the ramp first
-        if not energy > 0:
-            raise DomainError(f"energy must lie in (0, v0), got {energy}")
-        x_r = min((self.v0 - energy) / self.slope, self.length)
-        return (0.0, 0.0), (x_r, x_r)
+        _check_tunneling(energy, self.v0)
+        return 0.0, min((self.v0 - energy) / self.slope, self.length)
 
     def oracle_slices(self, slices: int):
         h, mids = _midpoints(0.0, self.length, slices)
@@ -301,9 +289,10 @@ class LaserCoulomb:
     zeff: ZeffModel
 
     def __post_init__(self):
-        _check_finite(self)
-        if not self.field > 0:
-            raise DomainError(f"field strength must be positive, got {self.field}")
+        if not 0.0 < self.field < math.inf:
+            raise DomainError(
+                f"LaserCoulomb.field must be positive and finite, got {self.field}"
+            )
 
     def potential(self, x):
         # written so that NaN fails the test
@@ -347,7 +336,7 @@ class LaserCoulomb:
     def turning_points(self, energy: float):
         if isinstance(self.zeff, ConstantZeff):
             return turning_points_quadratic(self.zeff.z, energy, self.field)
-        return turning_points_selfconsistent(self, energy)
+        return turning_points_bracketed(self, energy)
 
     def _walk_below(self, energy: float, x: float, factor: float) -> float:
         for _ in range(200):

@@ -26,10 +26,6 @@ __all__ = [
     "pt_numeric",
 ]
 
-# switch to the exp(-2*phi) form well before cosh arithmetic loses the
-# cancellation needed by downstream prefactors
-_COSH_BRANCH_PHI = 20.0
-
 _MIN_SLICES = 64
 DEFAULT_SLICES = 4096
 
@@ -66,12 +62,10 @@ def pt_rectangular_exact(energy: float, v0: float, phi: float) -> float:
 
 
 def pt_wkb(phi: float) -> float:
-    """WKB transmission 1/cosh^2(phi), overflow-safe for any phi >= 0."""
+    """WKB transmission 1/cosh^2(phi), written as 4e/(1 + e)^2 with
+    e = exp(-2 phi), which cannot overflow for any phi >= 0."""
     if not phi >= 0.0:
         raise DomainError(f"action phi must be >= 0, got {phi}")
-    if phi < _COSH_BRANCH_PHI:
-        c = math.exp(phi) + math.exp(-phi)
-        return 4.0 / (c * c)
     em = math.exp(-2.0 * phi)
     return 4.0 * em / ((1.0 + em) * (1.0 + em))
 

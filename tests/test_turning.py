@@ -20,7 +20,6 @@ from tunneltimes.turning import (
     resolve_problem,
     turning_points_bracketed,
     turning_points_quadratic,
-    turning_points_selfconsistent,
 )
 
 HE_ENERGY = -0.904
@@ -98,49 +97,80 @@ class TestQuadratic:
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
 
+def _sae_roots(field):
+    p = resolve_problem(LaserCoulomb(field, SAE), HE_ENERGY)
+    return p.x_left, p.x_right
+
+
 class TestSelfConsistent:
+    """SAE roots, which resolve_problem finds by the bracketed Brent solve."""
+
     def test_sae_weak_field(self):
-        x_l, x_r = turning_points_selfconsistent(LaserCoulomb(0.04, SAE), HE_ENERGY)
+        x_l, x_r = _sae_roots(0.04)
         assert x_l == pytest.approx(1.24, abs=0.01)
         assert x_r == pytest.approx(21.43, abs=0.01)
 
     def test_sae_strong_field(self):
-        x_l, x_r = turning_points_selfconsistent(LaserCoulomb(0.11, SAE), HE_ENERGY)
+        x_l, x_r = _sae_roots(0.11)
         assert x_l == pytest.approx(1.39, abs=0.01)
         assert x_r == pytest.approx(6.90, abs=0.01)
 
     @pytest.mark.parametrize("field", [0.04, 0.07, 0.11])
     def test_residuals_meet_root_tol(self, field):
         b = LaserCoulomb(field, SAE)
-        for x in turning_points_selfconsistent(b, HE_ENERGY):
+        for x in _sae_roots(field):
             assert abs(eval_potential(b, x) - HE_ENERGY) < 1e-9
 
     def test_barrier_suppressed_by_strong_field(self):
         with pytest.raises(OverBarrier):
-            turning_points_selfconsistent(LaserCoulomb(0.5, SAE), HE_ENERGY)
+            _sae_roots(0.5)
 
-    def test_rejects_other_barriers(self):
-        with pytest.raises(DomainError):
-            turning_points_selfconsistent(Rectangular(1.0, 2.0), 0.5)
+    @pytest.mark.parametrize("energy", [math.nan, -math.inf])
+    def test_non_finite_energy_rejected(self, energy):
+        with pytest.raises(DomainError, match="energy must be finite"):
+            resolve_problem(LaserCoulomb(0.04, SAE), energy)
+
+    @pytest.mark.parametrize("field", [1e-5, 1e-4, 0.04, 0.11, 0.2])
+    def test_roots_match_mpmath(self, field):
+        # an independent 30-digit root of V(x) = E, seeded at the float root
+        mp = pytest.importorskip("mpmath")
+        z = SAE
+        with mp.workdps(30):
+            v = lambda x: (
+                -(
+                    z.Z
+                    + z.a1 * mp.exp(-z.a2 * x)
+                    + z.a3 * x * mp.exp(-z.a4 * x)
+                    + z.a5 * mp.exp(-z.a6 * x)
+                )
+                / x
+                - mp.mpf(field) * x
+                - mp.mpf(HE_ENERGY)
+            )
+            for x in _sae_roots(field):
+                ref = float(mp.findroot(v, mp.mpf(x)))
+                assert x == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestBracketed:
+    # rectangles and ramps return their support edges and linear roots in
+    # closed form; the other families go through the bracketed solver
     def test_rectangular_edges(self):
-        assert turning_points_bracketed(Rectangular(1.0, 2.0), 0.5) == (0.0, 2.0)
+        assert Rectangular(1.0, 2.0).turning_points(0.5) == (0.0, 2.0)
 
     def test_rectangular_over_and_under(self):
         with pytest.raises(OverBarrier):
-            turning_points_bracketed(Rectangular(1.0, 2.0), 1.0)
+            Rectangular(1.0, 2.0).turning_points(1.0)
         with pytest.raises(DomainError):
-            turning_points_bracketed(Rectangular(1.0, 2.0), -0.1)
+            Rectangular(1.0, 2.0).turning_points(-0.1)
 
     def test_triangular_exit_inside_support(self):
-        x_l, x_r = turning_points_bracketed(Triangular(1.0, 0.25, 4.0), 0.5)
+        x_l, x_r = Triangular(1.0, 0.25, 4.0).turning_points(0.5)
         assert x_l == 0.0
         assert x_r == pytest.approx(2.0, rel=1e-15)
 
     def test_triangular_truncated_by_support(self):
-        x_l, x_r = turning_points_bracketed(Triangular(1.0, 0.25, 1.0), 0.5)
+        x_l, x_r = Triangular(1.0, 0.25, 1.0).turning_points(0.5)
         assert (x_l, x_r) == (0.0, 1.0)
 
     @pytest.mark.parametrize("field", [0.04, 0.06, 0.08, 0.10, 0.11])
