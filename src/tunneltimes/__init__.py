@@ -44,7 +44,6 @@ from .potentials import (
     ZeffModel,
     barrier_peak,
     eval_potential,
-    eval_zeff,
     tabulated_from_file,
     zeff_model,
 )

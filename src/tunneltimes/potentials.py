@@ -7,17 +7,17 @@ immutable value; evaluation is pure. Each family owns its facts: V(x) as
 ``potential``, the maximum as ``peak``, and ``turning_points`` by one rule:
 in closed form where the family has one (the support edges of a rectangle,
 the edge and linear root of a ramp, the quadratic of a constant Z_eff),
-otherwise by the bracketed Brent solve over the family's ``root_brackets``;
+otherwise by the bracketed root solve over the family's ``root_brackets``;
 then ``closed_form`` and ``panel_edges`` for the barrier integrals, exact or
 by quadrature, and ``oracle_slices`` for the transfer-matrix oracle.
-Effective-charge models are callables: ``model(x)`` is Z_eff(x).
+Effective-charge models are callables: ``model(x)`` is Z_eff(x), and the SAE
+peak is the zero of V', with Z_eff' from ``SaeZeff.derivative``.
 ``potential`` and the models take a float or a numpy array; a float in gives
 a float out, and NaN raises ``DomainError``. Each constructor checks its own
 fields with comparisons that NaN and inf fail.
 
-scipy is imported only where a barrier needs it (the tabulated interpolant,
-and the peak search and Brent solve of a position-dependent Coulomb
-barrier), so the closed-form families load numpy alone.
+scipy is imported only for the tabulated interpolant, so every other family
+loads numpy alone.
 """
 
 import math
@@ -26,8 +26,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BracketFailure, DomainError, NoConvergence, NoPeak, OverBarrier
-from .turning import turning_points_bracketed, turning_points_quadratic
+from .errors import BracketFailure, DomainError, NoPeak, OverBarrier
+from .turning import bracketed_root, turning_points_bracketed, turning_points_quadratic
 
 __all__ = [
     "ConstantZeff",
@@ -37,7 +37,6 @@ __all__ = [
     "KULLIE",
     "CLEMENTI",
     "zeff_model",
-    "eval_zeff",
     "Rectangular",
     "Triangular",
     "LaserCoulomb",
@@ -143,6 +142,12 @@ class SaeZeff:
             + self.a5 * exp(-self.a6 * x)
         )
 
+    def derivative(self, x: float) -> float:
+        """Z_eff'(x) at a float x."""
+        return (-self.a1 * self.a2 * math.exp(-self.a2 * x)
+                + self.a3 * (1.0 - self.a4 * x) * math.exp(-self.a4 * x)
+                - self.a5 * self.a6 * math.exp(-self.a6 * x))
+
 
 ZeffModel = Union[ConstantZeff, SaeZeff]
 
@@ -165,16 +170,6 @@ def zeff_model(name: str) -> ZeffModel:
         if isinstance(exc, DomainError):
             raise
         raise DomainError(f"unknown Z_eff model {name!r}") from None
-
-
-def eval_zeff(model: ZeffModel, x: float) -> float:
-    """Evaluate Z_eff at x >= 0."""
-    # checked here, not in the models, which the root searches call directly
-    if not _all(x >= 0.0):
-        raise DomainError(f"Z_eff evaluated outside x >= 0, got {x}")
-    return model(x)
-
-
 
 
 @dataclass(frozen=True)
@@ -307,22 +302,14 @@ class LaserCoulomb:
 
     def peak(self):
         # constant Z_eff peaks at sqrt(z/field) with value -2*sqrt(z*field);
-        # a position-dependent Z_eff falls back to a bounded numeric search,
-        # whose upper end 4/sqrt(field) holds the weak-field peak for Z <= 16
+        # any other Z_eff peaks where V' = Z/x**2 - Z'/x - field falls through
+        # zero, on a bracket whose upper end 4/sqrt(field) holds it for Z <= 16
         if isinstance(self.zeff, ConstantZeff):
             z = self.zeff.z
             return math.sqrt(z / self.field), -2.0 * math.sqrt(z * self.field)
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda x: -self.potential(x),
-            bounds=(0.1, max(100.0, 4.0 / math.sqrt(self.field))),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        if not res.success:
-            raise NoConvergence(f"barrier peak search failed: {res.message}")
-        return float(res.x), -float(res.fun)
+        dv = lambda x: (self.zeff(x) / x - self.zeff.derivative(x)) / x - self.field
+        x_peak = bracketed_root(dv, 0.1, max(100.0, 4.0 / math.sqrt(self.field)))
+        return x_peak, self.potential(x_peak)
 
     def panel_edges(self, energy: float, lo: float, hi: float):
         # V has a pole at x = 0, a distance lo before the window: one panel

@@ -12,12 +12,14 @@ and its energy derivative yields the inverse thermal energy
 B is strictly decreasing with a single zero at phi = PHI_STAR; below it the
 temperature (and every entropic time built on it) changes sign. Nothing in
 this module takes absolute values: signs are reported, not hidden.
+PHI_STAR and the entropy maximum come from ``turning.bracketed_root``.
 """
 
 import math
 from functools import lru_cache
 
 from .errors import DomainError
+from .turning import bracketed_root
 
 __all__ = [
     "PHI_STAR",
@@ -45,19 +47,8 @@ def bracket(phi: float) -> float:
     return 1.0 / u - math.log(u)
 
 
-def _bisect_decreasing(f, lo: float, hi: float, xtol: float) -> float:
-    """The zero of a strictly decreasing f with f(lo) > 0 > f(hi)."""
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 # single source of truth for the positivity domain of the entropic time
-PHI_STAR = _bisect_decreasing(bracket, 0.3, 0.5, 1e-14)
+PHI_STAR = bracketed_root(bracket, 0.3, 0.5)
 
 
 def entropy(p_m: float) -> float:
@@ -91,5 +82,5 @@ def entropy_maximum():
         decreasing on (0, 1).
     """
     dsdp = lambda p: math.log1p(-math.log(p)) - 1.0 / (1.0 - math.log(p))
-    p_star = _bisect_decreasing(dsdp, 0.1, 0.9, 1e-15)
+    p_star = bracketed_root(dsdp, 0.1, 0.9)
     return p_star, entropy(p_star)

@@ -4,17 +4,19 @@ Each barrier family's ``turning_points`` follows one rule: a family whose
 turning points have a closed form returns them itself (the support edges of
 a rectangle, the edge and linear root of a ramp, the quadratic roots of a
 constant effective charge, here as ``turning_points_quadratic``); every
-other family goes through ``turning_points_bracketed``, one Brent solve on
-each side of the peak. That solver sees a barrier only through its
-``potential``, ``peak`` and ``root_brackets`` methods, so this module does
-not depend on the families.
+other family goes through ``turning_points_bracketed``, which sees a barrier
+only through its ``potential``, ``peak`` and ``root_brackets`` and makes one
+``bracketed_root`` solve on each side of the peak. That is the package's one
+root solver: Chandrupatla's derivative-free hybrid of inverse quadratic
+interpolation and bisection (Adv. Eng. Softw. 28, 145 (1997)), which also
+finds the SAE peak, PHI_STAR and the entropy maximum.
 """
 
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, NoConvergence, OverBarrier
+from .errors import BracketFailure, DomainError, NoConvergence, OverBarrier
 
 if TYPE_CHECKING:
     from .potentials import Barrier
@@ -22,17 +24,20 @@ if TYPE_CHECKING:
 __all__ = [
     "ROOT_TOL",
     "TunnelingProblem",
+    "bracketed_root",
     "turning_points_quadratic",
     "turning_points_bracketed",
     "resolve_problem",
 ]
 
 # accepted |V(x) - E| at a smooth turning point; the classical-time
-# integrand is endpoint-singular, so root error enters as sqrt(root_tol)
+# integrand is endpoint-singular, so root error enters as sqrt(ROOT_TOL)
 ROOT_TOL = 1e-10
 
-_BRENT_XTOL = 1e-15
-_BRENT_RTOL = 8.9e-16
+# bracketed_root stops once the bracket is shorter than _XTOL + _RTOL * |x|
+_XTOL = 1e-15
+_RTOL = 8.9e-16
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,39 @@ class TunnelingProblem:
         return self.x_right - self.x_left
 
 
+def bracketed_root(f, a: float, b: float) -> float:
+    """The zero of f on [a, b], or an end where f is exactly zero; raises
+    BracketFailure unless f changes sign on [a, b], and NoConvergence if the
+    bracket is not closed in _MAX_ITER steps."""
+    fa, fb = f(a), f(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    # written so that a NaN end value fails the test
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise BracketFailure(f"no sign change on [{a}, {b}]: f = {fa}, {fb}")
+    # [a, b] brackets the zero with a the newest point; c is the point dropped
+    c, fc, t = a, fa, 0.5
+    for _ in range(_MAX_ITER):
+        x = a + t * (b - a)
+        fx = f(x)
+        if (fx < 0.0) != (fa < 0.0):
+            a, b, fa, fb = b, a, fb, fa
+        c, fc, a, fa = a, fa, x, fx
+        xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        tl = 0.5 * (_XTOL + _RTOL * abs(xm)) / abs(b - a)
+        if fm == 0.0 or tl > 0.5:
+            return xm
+        # inverse quadratic interpolation through a, b, c where Chandrupatla's
+        # test keeps it inside the bracket, bisection otherwise
+        xi, ph = (a - b) / (c - b), (fa - fb) / (fc - fb)
+        t = 0.5
+        if ph * ph < xi and (1.0 - ph) ** 2 < 1.0 - xi:
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+        t = min(1.0 - tl, max(tl, t))
+    raise NoConvergence(f"root on [{a}, {b}] not converged in {_MAX_ITER} steps")
+
+
 def turning_points_quadratic(z: float, energy: float, field: float):
     """Roots of V(x) = E for constant effective charge.
 
@@ -94,8 +132,8 @@ def turning_points_quadratic(z: float, energy: float, field: float):
     return (abs_e - s) / (2.0 * field), (abs_e + s) / (2.0 * field)
 
 
-def turning_points_bracketed(b: "Barrier", energy: float, *, root_tol: float = ROOT_TOL):
-    """Turning points by a bracketed Brent solve of V(x) - E = 0 on each
+def turning_points_bracketed(b: "Barrier", energy: float):
+    """Turning points by a bracketed root solve of V(x) - E = 0 on each
     side of the peak.
 
     The barrier's ``root_brackets`` gives one interval per turning point,
@@ -110,7 +148,7 @@ def turning_points_bracketed(b: "Barrier", energy: float, *, root_tol: float = R
     BracketFailure
         V - E has no sign change on one side of the peak.
     NoConvergence
-        A root misses the residual |V(x) - E| <= root_tol.
+        A root misses the residual |V(x) - E| <= ROOT_TOL.
     """
     # no bracket holds a NaN or infinite energy; say so, not that none was found
     if not math.isfinite(energy):
@@ -118,15 +156,12 @@ def turning_points_bracketed(b: "Barrier", energy: float, *, root_tol: float = R
     x_peak, v_max = b.peak()
     if energy >= v_max:
         raise OverBarrier(f"E = {energy} is not below the barrier maximum {v_max:.6g}")
-    # imported here: the closed-form families never reach it
-    from scipy.optimize import brentq
-
     f = lambda x: b.potential(x) - energy
     roots = []
     for lo, hi in b.root_brackets(energy, x_peak):
-        root = float(brentq(f, lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=200))
-        if abs(f(root)) > root_tol:
-            raise NoConvergence(f"root residual at x = {root} exceeds {root_tol:g}")
+        root = bracketed_root(f, lo, hi)
+        if abs(f(root)) > ROOT_TOL:
+            raise NoConvergence(f"root residual at x = {root} exceeds {ROOT_TOL:g}")
         roots.append(root)
     return roots[0], roots[1]
 

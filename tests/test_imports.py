@@ -1,9 +1,10 @@
-"""The closed-form paths load numpy only: scipy stays out of ``sys.modules``.
+"""Every path but the tabulated barrier loads numpy only: scipy stays out of
+``sys.modules``.
 
 One fresh interpreter imports the package, then runs ``cli.main`` on each
 command in turn and reports which scipy modules are loaded after each step.
-The last step is an SAE run, which needs scipy; it shows that the probe does
-see scipy once something imports it.
+The last step is a tabulated run, whose PCHIP interpolant needs scipy; it
+shows that the probe does see scipy once something imports it.
 """
 
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tunneltimes
@@ -25,6 +27,8 @@ STEPS = {
     "et-scan": ["et-scan", "--length-steps", "6"],
     "laser-sae": ["times", "--barrier", "laser-coulomb", "--field", "0.05",
                   "--zeff", "sae", "--energy", "-0.904"],
+    "table1": ["table1"],
+    "he-scan": ["he-scan", "--steps", "3"],
 }
 
 PROBE = """
@@ -46,23 +50,29 @@ print(json.dumps(report))
 
 
 @pytest.fixture(scope="module")
-def report():
+def report(tmp_path_factory):
+    samples = tmp_path_factory.mktemp("imports") / "sech2.dat"
+    xs = np.linspace(-10.0, 10.0, 200)
+    np.savetxt(samples, np.column_stack([xs, 1.0 / np.cosh(xs) ** 2]))
+    steps = dict(STEPS, tabulated=["times", "--barrier", "tabulated", "--file", str(samples),
+                                   "--energy", "0.5"])
     src = str(Path(tunneltimes.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(STEPS)],
+        [sys.executable, "-c", PROBE, json.dumps(steps)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
-@pytest.mark.parametrize("step", ["import", "rect", "triangular", "laser-kullie", "et-scan"])
+@pytest.mark.parametrize("step", ["import", "rect", "triangular", "laser-kullie", "et-scan",
+                                  "laser-sae", "table1", "he-scan"])
 def test_closed_form_paths_do_not_load_scipy(report, step):
     assert report[step] == {"status": 0, "scipy": []}
 
 
-def test_sae_run_still_succeeds_and_loads_scipy(report):
-    assert report["laser-sae"]["status"] == 0
-    assert "scipy.optimize" in report["laser-sae"]["scipy"]
+def test_tabulated_run_still_succeeds_and_loads_scipy(report):
+    assert report["tabulated"]["status"] == 0
+    assert "scipy.interpolate" in report["tabulated"]["scipy"]

@@ -16,10 +16,10 @@ from tunneltimes.potentials import (
     Triangular,
     barrier_peak,
     eval_potential,
-    eval_zeff,
     tabulated_from_file,
     zeff_model,
 )
+from tunneltimes import turning
 from tunneltimes.turning import resolve_problem
 
 
@@ -33,28 +33,39 @@ class TestZeff:
 
     def test_constant_is_position_independent(self):
         for x in (0.0, 1.0, 11.0, 300.0):
-            assert eval_zeff(KULLIE, x) == 1.375
+            assert KULLIE(x) == 1.375
 
     def test_sae_at_origin(self):
         # 1 + 1.231 + 0 - 0.231
-        assert eval_zeff(SAE, 0.0) == pytest.approx(2.0, rel=1e-15)
+        assert SAE(0.0) == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 2.5, 5.0, 40.0])
+    def test_sae_derivative_matches_mpmath(self, x):
+        mp = pytest.importorskip("mpmath")
+        z = lambda t: (SAE.Z + SAE.a1 * mp.exp(-SAE.a2 * t)
+                       + SAE.a3 * t * mp.exp(-SAE.a4 * t) + SAE.a5 * mp.exp(-SAE.a6 * t))
+        with mp.workdps(30):
+            ref = float(mp.diff(z, x))
+        assert SAE.derivative(x) == pytest.approx(ref, rel=1e-13, abs=1e-16)
 
     def test_sae_far_field_is_bare_charge(self):
-        assert eval_zeff(SAE, 1000.0) == pytest.approx(1.0, rel=1e-12)
+        assert SAE(1000.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_sae_bounded_on_working_range(self):
         # the slow negative tail lets Z dip just below the bare charge
         # (0.99965 near x = 10.7) before relaxing back to 1
         xs = np.linspace(0.0, 50.0, 2001)
-        vals = [eval_zeff(SAE, float(x)) for x in xs]
+        vals = [SAE(float(x)) for x in xs]
         assert min(vals) > 0.999
         assert max(vals) <= 2.0
 
     @pytest.mark.parametrize("model", [SAE, KULLIE])
     @pytest.mark.parametrize("x", [math.nan, -1.0, np.array([1.0, math.nan])])
     def test_outside_domain_rejected(self, model, x):
+        # the models do not check x; the barrier that evaluates Z_eff rejects
+        # a point outside x > 0 before Z_eff sees it
         with pytest.raises(DomainError):
-            eval_zeff(model, x)
+            LaserCoulomb(0.04, model).potential(x)
 
     def test_resolver(self):
         assert zeff_model("kullie") is KULLIE
@@ -214,9 +225,9 @@ class TestBarrierPeak:
         assert eval_potential(b, x_peak + delta) < v_max
         assert eval_potential(b, x_peak - delta) < v_max
 
-    @pytest.mark.parametrize("field", [5e-5, 1e-5])
-    def test_sae_weak_field_peak(self, field):
-        # the peak lies near sqrt(1/field), beyond x = 100 at these fields
+    @pytest.mark.parametrize("field", [1e-5, 5e-5, 0.04, 0.11, 0.2])
+    def test_sae_peak_matches_mpmath(self, field):
+        # at the weak fields the peak lies near sqrt(1/field), beyond x = 100
         mp = pytest.importorskip("mpmath")
 
         def v(x):
@@ -229,9 +240,7 @@ class TestBarrierPeak:
             v_ref = v(x_ref)
         x_peak, v_max = barrier_peak(LaserCoulomb(field, SAE))
         assert v_max == pytest.approx(float(v_ref), rel=1e-12)
-        # V is flat at its maximum, so a bounded search pins the position
-        # only to about sqrt(machine epsilon) relative
-        assert x_peak == pytest.approx(float(x_ref), rel=1e-7)
+        assert x_peak == pytest.approx(float(x_ref), rel=1e-14)
 
     @pytest.mark.parametrize("field", [5e-5, 1e-5])
     def test_sae_weak_field_resolves_just_below_the_peak(self, field):
@@ -241,16 +250,15 @@ class TestBarrierPeak:
         assert p.x_left < b.peak()[0] < p.x_right
 
     def test_failed_peak_search_raises(self, monkeypatch):
-        import scipy.optimize
-
-        def unconverged(fun, bounds, method, options):
-            return scipy.optimize.OptimizeResult(
-                x=bounds[1], fun=fun(bounds[1]), success=False, message="maxiter"
-            )
-
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", unconverged)
+        # the zero of V' is not found within the root solver's step cap
+        monkeypatch.setattr(turning, "_MAX_ITER", 3)
         with pytest.raises(NoConvergence):
             barrier_peak(LaserCoulomb(0.04, SAE))
+
+    def test_sae_peak_outside_the_bracket_raises(self):
+        # V' < 0 already at x = 0.1 once the field exceeds about 210 a.u.
+        with pytest.raises(BracketFailure):
+            barrier_peak(LaserCoulomb(1000.0, SAE))
 
     def test_monotone_tabulated_has_no_peak(self):
         xs = np.linspace(0.0, 1.0, 10)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tunneltimes.errors import DomainError, NoConvergence, OverBarrier
+from tunneltimes import turning
+from tunneltimes.errors import BracketFailure, DomainError, NoConvergence, OverBarrier
 from tunneltimes.potentials import (
     CLEMENTI,
     KULLIE,
@@ -17,6 +18,7 @@ from tunneltimes.potentials import (
 )
 from tunneltimes.turning import (
     TunnelingProblem,
+    bracketed_root,
     resolve_problem,
     turning_points_bracketed,
     turning_points_quadratic,
@@ -46,6 +48,35 @@ class TestProblemContainer:
     def test_nan_turning_point_rejected(self, x_left, x_right):
         with pytest.raises(DomainError):
             TunnelingProblem(0.5, 1.0, Rectangular(1.0, 2.0), x_left, x_right)
+
+
+class TestBracketedRoot:
+    @pytest.mark.parametrize("a, b", [(0.0, 2.0), (2.0, 0.0)])
+    def test_cube_root(self, a, b):
+        root = bracketed_root(lambda x: x**3 - 2.0, a, b)
+        assert root == pytest.approx(2.0 ** (1 / 3), rel=4e-16)
+
+    @pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: math.nan,
+                                   lambda x: math.nan if x > 1.0 else -1.0])
+    def test_bracket_failure(self, f):
+        with pytest.raises(BracketFailure):
+            bracketed_root(f, 0.0, 2.0)
+
+    def test_exact_zero_at_an_end_returned_as_is(self):
+        assert bracketed_root(lambda x: x - 0.3, 0.3, 1.0) == 0.3
+        assert bracketed_root(lambda x: x - 1.0, 0.3, 1.0) == 1.0
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(turning, "_MAX_ITER", 3)
+        with pytest.raises(NoConvergence):
+            bracketed_root(math.cos, 0.0, 3.0)
+
+    @pytest.mark.parametrize("f", [math.cos, lambda x: math.exp(x) - 5.0, lambda x: x**9 - 0.5,
+                                   lambda x: math.copysign(1.0, x - 1.3)])
+    def test_bracket_closes_to_the_tolerance(self, f):
+        root = bracketed_root(f, 0.0, 3.0)
+        step = turning._XTOL + turning._RTOL * abs(root)
+        assert (f(root - step) < 0.0) != (f(root + step) < 0.0) or f(root) == 0.0
 
 
 class TestQuadratic:
@@ -103,7 +134,7 @@ def _sae_roots(field):
 
 
 class TestSelfConsistent:
-    """SAE roots, which resolve_problem finds by the bracketed Brent solve."""
+    """SAE roots, which resolve_problem finds by the bracketed root solve."""
 
     def test_sae_weak_field(self):
         x_l, x_r = _sae_roots(0.04)
@@ -190,7 +221,7 @@ class TestBracketed:
         s = math.sqrt(0.704**2 - 4.0 * 0.04 * 1.375)
         ref_l = (0.704 - s) / 0.08
         ref_r = (0.704 + s) / 0.08
-        x_l, x_r = turning_points_bracketed(b, 0.2, root_tol=1e-6)
+        x_l, x_r = turning_points_bracketed(b, 0.2)
         assert x_l == pytest.approx(ref_l, abs=5e-4)
         assert x_r == pytest.approx(ref_r, abs=5e-4)
 
