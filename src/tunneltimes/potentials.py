@@ -7,7 +7,8 @@ immutable value; evaluation is pure. Each family owns its facts: V(x) as
 ``potential``, the maximum as ``peak``, and ``turning_points`` by one rule:
 in closed form where the family has one (the support edges of a rectangle,
 the edge and linear root of a ramp, the quadratic of a constant Z_eff),
-otherwise by the bracketed root solve over the family's ``root_brackets``;
+otherwise by the bracketed root solve of the family's ``crossing`` over its
+``root_brackets``;
 then ``closed_form`` and ``panel_edges`` for the barrier integrals, exact or
 by quadrature, and ``oracle_slices`` for the transfer-matrix oracle.
 Effective-charge models are callables: ``model(x)`` is Z_eff(x), and the SAE
@@ -15,12 +16,10 @@ peak is the zero of V', with Z_eff' from ``SaeZeff.derivative``.
 ``potential`` and the models take a float or a numpy array; a float in gives
 a float out, and NaN raises ``DomainError``. Each constructor checks its own
 fields with comparisons that NaN and inf fail.
-
-scipy is imported only for the tabulated interpolant, so every other family
-loads numpy alone.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
@@ -308,7 +307,18 @@ class LaserCoulomb:
             z = self.zeff.z
             return math.sqrt(z / self.field), -2.0 * math.sqrt(z * self.field)
         dv = lambda x: (self.zeff(x) / x - self.zeff.derivative(x)) / x - self.field
-        x_peak = bracketed_root(dv, 0.1, max(100.0, 4.0 / math.sqrt(self.field)))
+        lo, hi = 0.1, max(100.0, 4.0 / math.sqrt(self.field))
+        try:
+            x_peak = bracketed_root(dv, lo, hi)
+        except BracketFailure:
+            # above a field of about 198 a.u., V' < 0 already at lo
+            if not dv(lo) < 0.0:
+                raise
+            raise BracketFailure(
+                f"barrier peak sought at field {self.field}: V' has no zero on "
+                f"[{lo}, {hi:.6g}] (V'({lo}) = {dv(lo):.6g}), so the peak lies "
+                f"below x = {lo}"
+            ) from None
         return x_peak, self.potential(x_peak)
 
     def panel_edges(self, energy: float, lo: float, hi: float):
@@ -340,10 +350,50 @@ class LaserCoulomb:
         hi = self._walk_below(energy, 2.0 * x_peak, 2.0)
         return (lo, x_peak), (x_peak, hi)
 
+    def crossing(self, energy: float, lo: float, hi: float) -> float:
+        """The x in [lo, hi], a bracket from root_brackets, where V(x) = E."""
+        return bracketed_root(lambda x: self.potential(x) - energy, lo, hi)
+
     def oracle_slices(self, slices: int):
         raise DomainError(
             "the scattering oracle is not offered for the laser-Coulomb barrier"
         )
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """PCHIP slope at an end knot: the one-sided three-point estimate from the
+    end interval (width h0, secant m0) and its neighbour (h1, m1), reset to
+    zero against the sign of m0 and held to 3*m0 where the secants change
+    sign, so that the end interval stays free of spurious extrema."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > abs(3.0 * m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients of the PCHIP through (x, v), shape (4, n):
+    column j < n - 1 holds c0..c3 of c0 + c1 t + c2 t^2 + c3 t^3, t = x - x_j,
+    on knot interval j, and the last column the final sample alone."""
+    h = np.diff(x)
+    m = np.diff(v) / h
+    # interior slopes: the weighted harmonic mean of the neighbouring
+    # secants, zero at a local extremum or next to a flat interval
+    d = np.zeros_like(v)
+    keep = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0)
+    h0, h1, m0, m1 = h[:-1][keep], h[1:][keep], m[:-1][keep], m[1:][keep]
+    w1, w2 = 2.0 * h1 + h0, h1 + 2.0 * h0
+    d[1:-1][keep] = 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2))
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    # Hermite data (v, d) at both ends of each interval to the power basis
+    s = (d[:-1] + d[1:] - 2.0 * m) / h
+    coef = np.zeros((4, x.size))
+    coef[:, :-1] = v[:-1], d[:-1], (m - d[:-1]) / h - s, s / h
+    coef[0, -1] = v[-1]
+    return coef
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,8 +401,12 @@ class Tabulated:
     """Barrier interpolated from (x, V) samples.
 
     At least 8 finite samples with strictly increasing x are required.
-    Monotone cubic interpolation is used so that no spurious extrema appear
-    between nodes; turning-point solving relies on sign-stable V(x) - E.
+    The interpolant is the monotone piecewise cubic (PCHIP) of Fritsch and
+    Carlson with the Fritsch-Butland harmonic-mean slopes (SIAM J. Numer.
+    Anal. 17, 238 (1980); SIAM J. Sci. Stat. Comput. 5, 300 (1984)): it is
+    monotone on every knot interval, so no spurious extrema appear between
+    samples and V(x) - E changes sign at most once on each. Every sample is
+    reproduced exactly at its knot.
     """
 
     x: np.ndarray
@@ -369,20 +423,55 @@ class Tabulated:
             raise DomainError("samples must be finite")
         if not np.all(np.diff(x) > 0):
             raise DomainError("sample positions must be strictly increasing")
+        with np.errstate(all="ignore"):
+            coef = _pchip(x, v)
+        if not np.all(np.isfinite(coef)):
+            raise DomainError("samples too steep: the interpolant's coefficients overflow")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)
-        from scipy.interpolate import PchipInterpolator
-
-        object.__setattr__(self, "_interp", PchipInterpolator(x, v, extrapolate=False))
+        object.__setattr__(self, "_coef", coef)
+        object.__setattr__(self, "_index", np.arange(float(x.size)))
+        # the float path works on plain lists: bisect and Horner's rule in
+        # Python beat a numpy call on one point
+        object.__setattr__(self, "_knots", x.tolist())
+        object.__setattr__(self, "_rows", coef.T.tolist())
 
     def potential(self, x):
-        # written so that NaN fails the test
-        if not _all((self.x[0] <= x) & (x <= self.x[-1])):
-            raise DomainError(
-                f"x in [{np.min(x)}, {np.max(x)}] leaves the tabulated range "
-                f"[{self.x[0]}, {self.x[-1]}]"
-            )
-        return _float_or_array(self._interp(x))
+        knots = self._knots
+        if not isinstance(x, np.ndarray):
+            # written so that NaN fails the test
+            if not knots[0] <= x <= knots[-1]:
+                raise self._outside(x)
+            j = bisect_right(knots, x) - 1
+            c0, c1, c2, c3 = self._rows[j]
+            t = x - knots[j]
+            return ((c3 * t + c2) * t + c1) * t + c0
+        if not _all((knots[0] <= x) & (x <= knots[-1])):
+            raise self._outside(x)
+        # np.interp against the knot indices finds each point's interval in
+        # one pass, but may round a point just below a knot up to that knot
+        j = np.interp(x, self.x, self._index).astype(np.intp)
+        xj = self.x.take(j)
+        low = x < xj
+        if low.any():
+            j -= low
+            xj = self.x.take(j)
+        t = x - xj
+        c0, c1, c2, c3 = self._coef
+        v = c3.take(j)
+        v *= t
+        v += c2.take(j)
+        v *= t
+        v += c1.take(j)
+        v *= t
+        v += c0.take(j)
+        return _float_or_array(v)
+
+    def _outside(self, x) -> DomainError:
+        return DomainError(
+            f"x in [{np.min(x)}, {np.max(x)}] leaves the tabulated range "
+            f"[{self.x[0]}, {self.x[-1]}]"
+        )
 
     def peak(self):
         # PCHIP gives an interior extremum sample zero slope and is monotone
@@ -420,10 +509,26 @@ class Tabulated:
             (float(self.x[k - 1]), float(self.x[k])),
         )
 
+    def crossing(self, energy: float, lo: float, hi: float) -> float:
+        # V - E on the knot interval [lo, hi] is its one cubic in t = x - lo,
+        # and at hi the sample itself: what potential gives, without the
+        # range check and the interval search
+        j = bisect_right(self._knots, lo) - 1
+        c0, c1, c2, c3 = self._rows[j]
+        v_hi = self._rows[j + 1][0]
+
+        def f(x):
+            if x == hi:
+                return v_hi - energy
+            t = x - lo
+            return ((c3 * t + c2) * t + c1) * t + c0 - energy
+
+        return bracketed_root(f, lo, hi)
+
     def oracle_slices(self, slices: int):
         # flat leads at the edge samples
         h, mids = _midpoints(float(self.x[0]), float(self.x[-1]), slices)
-        return h, float(self.v[0]), float(self.v[-1]), self._interp(mids)
+        return h, float(self.v[0]), float(self.v[-1]), self.potential(mids)
 
 
 Barrier = Union[Rectangular, Triangular, LaserCoulomb, Tabulated]

@@ -5,11 +5,13 @@ turning points have a closed form returns them itself (the support edges of
 a rectangle, the edge and linear root of a ramp, the quadratic roots of a
 constant effective charge, here as ``turning_points_quadratic``); every
 other family goes through ``turning_points_bracketed``, which sees a barrier
-only through its ``potential``, ``peak`` and ``root_brackets`` and makes one
-``bracketed_root`` solve on each side of the peak. That is the package's one
-root solver: Chandrupatla's derivative-free hybrid of inverse quadratic
-interpolation and bisection (Adv. Eng. Softw. 28, 145 (1997)), which also
-finds the SAE peak, PHI_STAR and the entropy maximum.
+only through its ``potential``, ``peak``, ``root_brackets`` and ``crossing``:
+one ``bracketed_root`` solve on each side of the peak, of V - E as the family
+writes it on that bracket (for a tabulated barrier, the one cubic of the
+knot interval). ``bracketed_root`` is the package's one root solver:
+Chandrupatla's derivative-free hybrid of inverse quadratic interpolation and
+bisection (Adv. Eng. Softw. 28, 145 (1997)), which also finds the SAE peak,
+PHI_STAR and the entropy maximum.
 """
 
 import math
@@ -137,7 +139,9 @@ def turning_points_bracketed(b: "Barrier", energy: float):
     side of the peak.
 
     The barrier's ``root_brackets`` gives one interval per turning point,
-    with V - E changing sign across it.
+    with V - E changing sign across it, and its ``crossing`` solves for the
+    root there; each root must meet |V(x) - E| <= ROOT_TOL through
+    ``potential``.
 
     Raises
     ------
@@ -156,11 +160,10 @@ def turning_points_bracketed(b: "Barrier", energy: float):
     x_peak, v_max = b.peak()
     if energy >= v_max:
         raise OverBarrier(f"E = {energy} is not below the barrier maximum {v_max:.6g}")
-    f = lambda x: b.potential(x) - energy
     roots = []
     for lo, hi in b.root_brackets(energy, x_peak):
-        root = bracketed_root(f, lo, hi)
-        if abs(f(root)) > ROOT_TOL:
+        root = b.crossing(energy, lo, hi)
+        if abs(b.potential(root) - energy) > ROOT_TOL:
             raise NoConvergence(f"root residual at x = {root} exceeds {ROOT_TOL:g}")
         roots.append(root)
     return roots[0], roots[1]

@@ -1,10 +1,12 @@
-"""Every path but the tabulated barrier loads numpy only: scipy stays out of
-``sys.modules``.
+"""Every path but the adaptive-quadrature fallback loads numpy only: scipy
+stays out of ``sys.modules``.
 
 One fresh interpreter imports the package, then runs ``cli.main`` on each
 command in turn and reports which scipy modules are loaded after each step.
-The last step is a tabulated run, whose PCHIP interpolant needs scipy; it
-shows that the probe does see scipy once something imports it.
+The last step is a tabulated run whose panel rule cannot certify the
+integrals, so that they fall back to adaptive quadrature, the one place the
+package imports scipy; it shows that the probe does see scipy once something
+imports it, and that the fallback loads ``scipy.integrate`` alone.
 """
 
 import json
@@ -49,13 +51,28 @@ print(json.dumps(report))
 """
 
 
+def write_samples(path, xs, vs):
+    np.savetxt(path, np.column_stack([xs, vs]))
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
-    samples = tmp_path_factory.mktemp("imports") / "sech2.dat"
+    tmp = tmp_path_factory.mktemp("imports")
     xs = np.linspace(-10.0, 10.0, 200)
-    np.savetxt(samples, np.column_stack([xs, 1.0 / np.cosh(xs) ** 2]))
-    steps = dict(STEPS, tabulated=["times", "--barrier", "tabulated", "--file", str(samples),
-                                   "--energy", "0.5"])
+    sech2 = write_samples(tmp / "sech2.dat", xs, 1.0 / np.cosh(xs) ** 2)
+    # two humps on 17 knots whose middle dip, a knot, sits 1e-3 above E:
+    # the panel rule's error estimate misses the default quad_tol by a
+    # factor of about 5e4, and adaptive quadrature certifies the integrals
+    xs = np.linspace(-8.0, 8.0, 17)
+    vs = np.exp(-((xs - 2.0) ** 2)) + np.exp(-((xs + 2.0) ** 2))
+    humps = write_samples(tmp / "humps.dat", xs, vs)
+    steps = dict(
+        STEPS,
+        tabulated=["times", "--barrier", "tabulated", "--file", sech2, "--energy", "0.5"],
+        quad_fallback=["times", "--barrier", "tabulated", "--file", humps,
+                       "--energy", repr(float(vs[8]) - 1e-3)],
+    )
     src = str(Path(tunneltimes.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -68,11 +85,12 @@ def report(tmp_path_factory):
 
 
 @pytest.mark.parametrize("step", ["import", "rect", "triangular", "laser-kullie", "et-scan",
-                                  "laser-sae", "table1", "he-scan"])
+                                  "laser-sae", "table1", "he-scan", "tabulated"])
 def test_closed_form_paths_do_not_load_scipy(report, step):
     assert report[step] == {"status": 0, "scipy": []}
 
 
-def test_tabulated_run_still_succeeds_and_loads_scipy(report):
-    assert report["tabulated"]["status"] == 0
-    assert "scipy.interpolate" in report["tabulated"]["scipy"]
+def test_quad_fallback_loads_scipy_integrate_only(report):
+    assert report["quad_fallback"]["status"] == 0
+    assert "scipy.integrate" in report["quad_fallback"]["scipy"]
+    assert "scipy.interpolate" not in report["quad_fallback"]["scipy"]

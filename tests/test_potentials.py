@@ -256,9 +256,19 @@ class TestBarrierPeak:
             barrier_peak(LaserCoulomb(0.04, SAE))
 
     def test_sae_peak_outside_the_bracket_raises(self):
-        # V' < 0 already at x = 0.1 once the field exceeds about 210 a.u.
+        # V' < 0 already at x = 0.1 once the field exceeds about 198 a.u.
         with pytest.raises(BracketFailure):
             barrier_peak(LaserCoulomb(1000.0, SAE))
+
+    @pytest.mark.parametrize("field", [215.0, 1e300])
+    def test_sae_peak_outside_the_bracket_says_where(self, field):
+        with pytest.raises(BracketFailure) as info:
+            barrier_peak(LaserCoulomb(field, SAE))
+        message = str(info.value)
+        assert "barrier peak" in message
+        assert f"field {field}" in message
+        assert "V' has no zero on [0.1, 100]" in message
+        assert "below x = 0.1" in message
 
     def test_monotone_tabulated_has_no_peak(self):
         xs = np.linspace(0.0, 1.0, 10)
