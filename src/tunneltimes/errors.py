@@ -32,8 +32,8 @@ class BracketFailure(TunnelTimesError):
 
 
 class QuadratureFailure(TunnelTimesError):
-    """Neither the panel rule nor the adaptive fallback could certify a
-    barrier integral to quad_tol."""
+    """The panel rule could not certify a barrier integral to quad_tol
+    within its bisection budget."""
 
 
 class SingularityError(TunnelTimesError):

@@ -132,9 +132,14 @@ def run_table1(quad_tol: float = QUAD_TOL_DEFAULT):
 
 def keldysh_gamma(omega: float, ionization_potential: float, field: float) -> float:
     """gamma = omega * sqrt(2 * I_p) / field; tunneling dominates below 1."""
-    if not (omega > 0 and ionization_potential > 0 and field > 0):
-        raise DomainError("omega, ionization potential, and field must be positive")
-    return omega * math.sqrt(2.0 * ionization_potential) / field
+    for name, value in (("omega", omega), ("ionization potential", ionization_potential),
+                        ("field", field)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+    gamma = omega * math.sqrt(2.0 * ionization_potential) / field
+    if gamma == math.inf:
+        raise DomainError(f"Keldysh parameter overflows at omega {omega}, field {field}")
+    return gamma
 
 
 def he_scan(

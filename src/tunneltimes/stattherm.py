@@ -31,7 +31,7 @@ __all__ = [
 
 
 def bracket(phi: float) -> float:
-    """B(phi) = 1/(1 + 2*phi) + log(1/(1 + 2*phi)), for phi >= 0.
+    """B(phi) = 1/(1 + 2*phi) + log(1/(1 + 2*phi)), for finite phi >= 0.
 
     Continuous and strictly decreasing; positive below PHI_STAR, negative
     above it.
@@ -39,12 +39,13 @@ def bracket(phi: float) -> float:
     Raises
     ------
     DomainError
-        phi is negative or NaN.
+        phi is negative, infinite or NaN.
     """
-    if not phi >= 0.0:
-        raise DomainError(f"action phi must be >= 0, got {phi}")
+    if not 0.0 <= phi < math.inf:
+        raise DomainError(f"action phi must be finite and >= 0, got {phi}")
     u = 1.0 + 2.0 * phi
-    return 1.0 / u - math.log(u)
+    # past phi ~ 9e307, 1 + 2 phi overflows but its logarithm does not
+    return 1.0 / u - (math.log(u) if u < math.inf else math.log(2.0) + math.log(phi))
 
 
 # single source of truth for the positivity domain of the entropic time
@@ -65,9 +66,10 @@ def inverse_temperature(phi: float, tau_c: float) -> float:
     """
     # B first: it rejects a negative phi before exp(-2 phi) can overflow
     b = bracket(phi)
-    if not math.isfinite(tau_c):
-        raise DomainError(f"classical time must be finite, got {tau_c}")
-    return -2.0 * tau_c * math.exp(-2.0 * phi) * b
+    inv = -2.0 * tau_c * math.exp(-2.0 * phi) * b
+    if not math.isfinite(inv):  # a non-finite tau_c, or overflow
+        raise DomainError(f"inverse temperature is not finite at tau_c {tau_c}, phi {phi}")
+    return inv
 
 
 @lru_cache(maxsize=1)

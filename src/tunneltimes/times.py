@@ -83,10 +83,10 @@ def ett_general(tau_c: float, phi: float, p_t: float) -> float:
     The exp(-2 phi)/p_t ratio is evaluated in log space: the two factors
     underflow separately near phi ~ 354 while their ratio stays of order
     one for any transmission with the WKB decay. A p_t that has already
-    underflowed to 0 is rejected.
+    underflowed to 0, or is not finite, is rejected.
     """
-    if not p_t > 0.0:
-        raise DomainError(f"transmission probability must be positive, got {p_t}")
+    if not 0.0 < p_t < math.inf:
+        raise DomainError(f"transmission probability must be positive and finite, got {p_t}")
     try:
         rho = math.exp(-2.0 * phi - math.log(p_t))
     except OverflowError:
@@ -98,7 +98,8 @@ def ett_he(tau_c: float, phi: float) -> float:
     """Entropic time with the WKB transmission folded in; finite for any
     phi >= 0. Identical to ett_general(tau_c, phi, pt_wkb(phi)) to relative
     1e-12."""
-    return _ett(tau_c, phi, _rho_wkb(phi))
+    # the kernel rejects a negative phi; max keeps exp(-2 phi) from overflowing first
+    return _ett(tau_c, phi, _rho_wkb(max(phi, 0.0)))
 
 
 def ett_rectangular(energy: float, v0: float, length: float, mass: float = 1.0) -> float:

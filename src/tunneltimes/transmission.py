@@ -48,6 +48,8 @@ def _rectangular_terms(energy: float, v0: float, phi: float):
     em = math.exp(-2.0 * phi)
     one_minus = -math.expm1(-2.0 * phi)
     den = g * em + 0.25 * v0 * v0 * one_minus * one_minus
+    if not 0.0 < den < math.inf:
+        raise DomainError(f"transmission leaves the float range at E = {energy}, v0 = {v0}")
     return g * em / den, em, one_minus, den
 
 
@@ -58,6 +60,8 @@ def pt_rectangular_exact(energy: float, v0: float, phi: float) -> float:
     g*e^{-2phi} / (g*e^{-2phi} + v0^2 (1-e^{-2phi})^2 / 4), g = 4E(v0-E),
     valid for any phi >= 0.
     """
+    if not phi >= 0.0:
+        raise DomainError(f"action phi must be >= 0, got {phi}")
     return _rectangular_terms(energy, v0, phi)[0]
 
 

@@ -22,9 +22,10 @@ from the pole at x = 0 of the laser-Coulomb barrier or the root of a
 triangular ramp cut short by its support; a single panel otherwise. Each panel
 is evaluated at n and 2n nodes, and the 2n results are accepted when, for
 both integrals, the summed per-panel differences stay within quad_tol of
-them. Otherwise the integral falls back to adaptive Gauss-Kronrod
-quadrature, whose own error estimate must meet quad_tol or
-QuadratureFailure is raised.
+them. Otherwise each panel whose difference exceeds its share of that
+budget is bisected, and only the new halves are evaluated, until the test
+passes (Piessens et al., QUADPACK (1983); Gander & Gautschi, BIT 40, 84
+(2000)) or a fixed panel budget is spent and QuadratureFailure is raised.
 """
 
 import functools
@@ -48,7 +49,7 @@ __all__ = [
 
 QUAD_TOL_DEFAULT = 1e-10
 _QUAD_TOL_RANGE = (1e-13, 1e-6)
-_QUAD_LIMIT = 2**16  # adaptive subdivision budget
+_PANEL_BUDGET = 2**12  # panels that bisection may add to the first pass
 _CLAMP = 1e-12  # V - E more negative than this signals an interior momentum zero
 _ORDER = 16  # Gauss-Legendre nodes per panel; the check rule uses twice as many
 # stands in for a momentum clamped to zero in the tau_c denominator: the
@@ -64,30 +65,6 @@ class WkbQuantities:
     phi: float
     tau_c: float
     p_m: float
-
-
-def _check_tol(quad_tol: float):
-    lo, hi = _QUAD_TOL_RANGE
-    if not lo <= quad_tol <= hi:
-        raise DomainError(f"quad_tol must lie in [{lo:g}, {hi:g}], got {quad_tol}")
-
-
-def _interior_zero(d: float, x: float) -> SingularityError:
-    return SingularityError(
-        f"V(x) - E = {d:.3g} at x = {x:.6g}: momentum vanishes inside the "
-        "forbidden region (malformed barrier)"
-    )
-
-
-def _v_minus_e(problem: TunnelingProblem, x: np.ndarray) -> np.ndarray:
-    """V(x) - E at points inside [x_L, x_R], with root-tolerance slop at the
-    turning points clamped to zero."""
-    d = eval_potential(problem.barrier, x) - problem.energy
-    bad = d < -_CLAMP
-    if bad.any():
-        i = np.argmax(bad)
-        raise _interior_zero(d.flat[i], x.flat[i])
-    return np.maximum(d, 0.0)
 
 
 @functools.cache
@@ -106,89 +83,99 @@ def _gauss_legendre_pair(n: int):
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=1)
-def _panel_rule(problem: TunnelingProblem):
-    """Panel Gauss-Legendre values of (phi, tau_c) and their error estimates.
-
-    The values are the 2n-node results; each estimate is |Q_2n - Q_n|
-    summed over the panels, so panel errors cannot cancel in it. One call
-    serves both integrals: the last problem's result is kept, so that
-    classical_time right after action_phi (as in compute_wkb) evaluates
-    the potential no second time.
-    """
+def _rules(problem: TunnelingProblem, lo: np.ndarray, span: np.ndarray):
+    """phi and tau_c on the theta panels [lo, lo + span] (column vectors) by
+    the n- and 2n-node rules, shape (integral, panel, rule), and the momenta
+    at the nodes; root-tolerance slop in V - E at the turning points is
+    clamped to zero."""
     x_l, w, m = problem.x_left, problem.width, problem.mass
+    nodes, weights = _gauss_legendre_pair(_ORDER)
+    theta = lo + span * nodes
+    s = np.sin(theta)
+    x = x_l + w * s * s
+    d = eval_potential(problem.barrier, x) - problem.energy
+    bad = d < -_CLAMP
+    if bad.any():
+        i = np.argmax(bad)
+        raise SingularityError(
+            f"V(x) - E = {d.flat[i]:.3g} at x = {x.flat[i]:.6g}: momentum vanishes "
+            "inside the forbidden region (malformed barrier)"
+        )
+    p = np.sqrt(2.0 * m * np.maximum(d, 0.0))
+    jac = w * np.sin(2.0 * theta)
+    return np.stack((p * jac, m * jac / np.maximum(p, _P_FLOOR))) @ weights * span, p
+
+
+@functools.lru_cache(maxsize=1)
+def _panel_rule(problem: TunnelingProblem, quad_tol: float):
+    """(phi, tau_c) by panel Gauss-Legendre, certified to quad_tol.
+
+    Each value is the 2n-node sum over the panels, and its error estimate is
+    |Q_2n - Q_n| summed over the panels, so panel errors cannot cancel in
+    it; if either misses quad_tol, _refine bisects panels. The last result
+    is kept, so that classical_time right after action_phi (as in
+    compute_wkb) evaluates the potential no second time.
+    """
+    x_l, w = problem.x_left, problem.width
     inner = problem.barrier.panel_edges(problem.energy, x_l, problem.x_right)
     edges = np.arcsin(np.sqrt(np.concatenate(([0.0], (inner - x_l) / w, [1.0]))))
     span = np.diff(edges)[:, None]
-    nodes, weights = _gauss_legendre_pair(_ORDER)
-    theta = edges[:-1, None] + span * nodes
-    s = np.sin(theta)
-    p = np.sqrt(2.0 * m * _v_minus_e(problem, x_l + w * s * s))
-    jac = w * np.sin(2.0 * theta)
-    q = np.stack((p * jac, m * jac / np.maximum(p, _P_FLOOR))) @ weights * span
-    values = q[..., 1].sum(axis=1)
-    errors = np.abs(q[..., 1] - q[..., 0]).sum(axis=1)
-    return tuple(values.tolist()), tuple(errors.tolist())
+    q, _ = _rules(problem, edges[:-1, None], span)
+    values = tuple(q[..., 1].sum(axis=1).tolist())
+    errors = tuple(np.abs(q[..., 1] - q[..., 0]).sum(axis=1).tolist())
+    # both integrands are built from the same p(x), and tau_c's is the more
+    # singular: its convergence is the sharper test that the nodes resolve p
+    if all(e <= quad_tol * abs(v) for v, e in zip(values, errors)):
+        return values
+    return _refine(problem, quad_tol, edges[:-1], span[:, 0], q)
 
 
-def _integrate_adaptive(problem: TunnelingProblem, want_time: bool, quad_tol: float) -> float:
-    """phi (want_time False) or tau_c by adaptive Gauss-Kronrod on the map."""
-    from scipy.integrate import quad
-
-    x_l, w, m = problem.x_left, problem.width, problem.mass
-
-    def f(theta):
-        s = math.sin(theta)
-        x = x_l + w * s * s
-        d = eval_potential(problem.barrier, x) - problem.energy
-        if d < 0.0:
-            if d < -_CLAMP:
-                raise _interior_zero(d, x)
-            d = 0.0
-        p = math.sqrt(2.0 * m * d)
-        jac = w * math.sin(2.0 * theta)
-        return m * jac / max(p, _P_FLOOR) if want_time else p * jac
-
-    out = quad(
-        f,
-        0.0,
-        0.5 * math.pi,
-        epsabs=0.0,
-        epsrel=quad_tol,
-        limit=_QUAD_LIMIT,
-        full_output=True,
-    )
-    value, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > quad_tol * abs(value):
-        # the integrator gave up AND its estimate misses the budget; this
-        # happens where V(x) nearly touches E inside the forbidden region,
-        # so that p almost vanishes there
-        achieved = abserr / abs(value) if value != 0.0 else math.inf
-        raise QuadratureFailure(
-            f"achieved relative error {achieved:.3g} exceeds quad_tol "
-            f"{quad_tol:g}; loosen quad_tol, or look for a point inside the "
-            f"forbidden region where V(x) nearly touches E "
-            f"({out[3].splitlines()[0].strip()})"
-        )
-    return value
+def _refine(problem: TunnelingProblem, quad_tol: float, lo, span, q):
+    """Bisect each panel whose |Q_2n - Q_n| exceeds its share of the budget,
+    its fraction of the theta range, and evaluate only the new halves, until
+    both sums meet quad_tol. A new half with a clamped node (p = 0, where both
+    rules would agree on nonsense) never converges."""
+    value, error = q[..., 1], np.abs(q[..., 1] - q[..., 0])
+    limit = lo.size + _PANEL_BUDGET
+    while True:
+        total = value.sum(axis=1)
+        excess = error / (quad_tol * np.abs(total))[:, None]  # in units of the budget
+        if (excess.sum(axis=1) <= 1.0).all() and np.isfinite(total).all():
+            return tuple(total.tolist())
+        worst = np.argmax(excess.max(axis=0))
+        split = (excess > span / (0.5 * math.pi)).any(axis=0)
+        split[worst] = True  # progress even where rounding hides the excess
+        if lo.size + np.count_nonzero(split) > limit:
+            x = problem.x_left + problem.width * math.sin(lo[worst] + 0.5 * span[worst]) ** 2
+            raise QuadratureFailure(
+                f"achieved relative error {quad_tol * excess.sum(axis=1).max():.3g} exceeds "
+                f"quad_tol {quad_tol:g} within {_PANEL_BUDGET} bisections, worst near x = {x:.6g}; "
+                "loosen quad_tol, or look for a point inside the forbidden region where V(x) "
+                "nearly touches E"
+            )
+        keep, half = ~split, 0.5 * span[split]
+        new_lo = np.concatenate((lo[split], lo[split] + half))
+        new_q, p = _rules(problem, new_lo[:, None], np.tile(half, 2)[:, None])
+        new_error = np.abs(new_q[..., 1] - new_q[..., 0])
+        new_error[:, (p == 0.0).any(axis=1)] = math.inf
+        lo, span = np.concatenate((lo[keep], new_lo)), np.concatenate((span[keep], half, half))
+        value = np.concatenate((value[:, keep], new_q[..., 1]), axis=1)
+        error = np.concatenate((error[:, keep], new_error), axis=1)
 
 
 def _integrate(problem: TunnelingProblem, want_time: bool, quad_tol: float) -> float:
     """phi (want_time False) or tau_c: exact where the barrier family has a
-    closed form for the window, else certified to quad_tol by the panel rule
-    when it converges on both integrals, or else by the adaptive fallback."""
-    _check_tol(quad_tol)
+    closed form for the window, else certified to quad_tol by the panel
+    rule."""
+    lo, hi = _QUAD_TOL_RANGE
+    if not lo <= quad_tol <= hi:
+        raise DomainError(f"quad_tol must lie in [{lo:g}, {hi:g}], got {quad_tol}")
     if problem.width == 0.0:
         return 0.0
     exact = problem.barrier.closed_form(problem.energy, problem.x_left, problem.x_right, problem.mass)
     if exact is not None:
         return exact[want_time]
-    values, errors = _panel_rule(problem)
-    # both integrands are built from the same p(x), and tau_c's is the more
-    # singular: its convergence is the sharper test that the nodes resolve p
-    if all(e <= quad_tol * abs(v) for v, e in zip(values, errors)):
-        return values[want_time]
-    return _integrate_adaptive(problem, want_time, quad_tol)
+    return _panel_rule(problem, quad_tol)[want_time]
 
 
 def action_phi(problem: TunnelingProblem, quad_tol: float = QUAD_TOL_DEFAULT) -> float:

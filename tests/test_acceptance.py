@@ -35,7 +35,9 @@ from tunneltimes.times import (
 from tunneltimes.transmission import pt_numeric, pt_rectangular_exact, pt_wkb
 from tunneltimes.turning import resolve_problem
 from tunneltimes.units import CONSTANTS, from_attoseconds
-from tunneltimes.wkb import QUAD_TOL_DEFAULT, _integrate_adaptive, classical_time, dphi_dE
+from tunneltimes.wkb import QUAD_TOL_DEFAULT, classical_time, dphi_dE
+
+from quadref import mapped_quad
 
 RATIO_GRID = np.linspace(0.1, 0.9, 9)
 PHI_GRID = np.linspace(0.5, 10.0, 9)
@@ -218,9 +220,9 @@ def test_criterion_6_triangular_scalings():
         phi_tri, tau_tri = triangular_scalings(v0, energy, field, length)
         problem = resolve_problem(Triangular(v0, field, length), energy)
         # action_phi and classical_time return this closed form on a full
-        # ramp, so the quadrature is called by name
-        phi_quad = _integrate_adaptive(problem, False, QUAD_TOL_DEFAULT)
-        tau_quad = _integrate_adaptive(problem, True, QUAD_TOL_DEFAULT)
+        # ramp, so an independent quadrature integrates it
+        phi_quad = mapped_quad(problem, False, QUAD_TOL_DEFAULT)
+        tau_quad = mapped_quad(problem, True, QUAD_TOL_DEFAULT)
         if abs(phi_tri - phi_quad) > TRIANGULAR_REL * phi_quad:
             failures.append(f"phi ratio off at {(v0, energy, field, length)}")
         if abs(tau_tri - tau_quad) > TRIANGULAR_REL * tau_quad:

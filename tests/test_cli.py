@@ -20,10 +20,12 @@ def write_samples(tmp_path, xs, vs):
     return str(path)
 
 
-def pchip_integrals_mp(xs, vs, energy):
+def pchip_integrals_mp(xs, vs, energy, precise=()):
     """phi and tau_c of the PCHIP through (xs, vs), one knot interval at a
     time: the two crossing intervals by 30-digit root finding and
-    tanh-sinh quadrature, the interior ones by double-precision tanh-sinh."""
+    tanh-sinh quadrature, the interior ones by double-precision tanh-sinh,
+    except the interior intervals listed in ``precise``, where V - E is too
+    small for double precision and 30 digits are used too."""
     mpmath = pytest.importorskip("mpmath")
     from scipy.interpolate import PchipInterpolator
 
@@ -56,7 +58,8 @@ def pchip_integrals_mp(xs, vs, energy):
             root = mpmath.findroot(lambda x: v(x) - energy, (lo, hi), solver="anderson")
             add(mpmath.mp, v, *((root, hi) if rising else (lo, root)), sums)
         for i in range(j + 1, k - 1):
-            add(mpmath.fp, hermite(mpmath.fp, i), xs[i], xs[i + 1], sums)
+            ctx = mpmath.mp if i in precise else mpmath.fp
+            add(ctx, hermite(ctx, i), ctx.mpf(xs[i]), ctx.mpf(xs[i + 1]), sums)
         return float(sums[0]), float(sums[1])
 
 
@@ -143,22 +146,43 @@ class TestTimes:
         assert float(kv["tau_c_au"]) == pytest.approx(tau_c, rel=1e-10)
 
     @pytest.mark.parametrize("quad_tol", ["1e-10", "1e-8"])
-    def test_tabulated_near_touching_dip_fails_honestly(self, tmp_path, capsys, quad_tol):
+    def test_tabulated_near_touching_dip_matches_mpmath(self, tmp_path, capsys, quad_tol):
         # two humps whose middle dip, a knot, sits 1e-6 above E: p nearly
-        # vanishes inside the forbidden region, the panel rule does not
-        # converge there, and the adaptive fallback cannot certify either
+        # vanishes inside the forbidden region, the 16- and 32-node rules
+        # disagree there, and bisecting the panels certifies the integrals
         xs = np.linspace(-8.0, 8.0, 401)
         vs = np.exp(-((xs - 2.0) ** 2)) + np.exp(-((xs + 2.0) ** 2))
         energy = float(vs[200]) - 1e-6
-        rc, _, err = run_cli(
+        rc, out, _ = run_cli(
             ["times", "--barrier", "tabulated", "--file", write_samples(tmp_path, xs, vs),
              "--energy", repr(energy), "--quad-tol", quad_tol],
             capsys,
         )
+        assert rc == 0
+        kv = parse_kv(out)
+        # 30 digits on the two knot intervals next to the dip
+        phi, tau_c = pchip_integrals_mp(xs, vs, energy, precise=(199, 200))
+        assert float(kv["phi"]) == pytest.approx(phi, rel=float(quad_tol))
+        assert float(kv["tau_c_au"]) == pytest.approx(tau_c, rel=float(quad_tol))
+
+    def test_tabulated_dip_below_roundoff_fails_honestly(self, tmp_path, capsys):
+        # the same humps with the dip 1e-14 above E: no panel budget resolves
+        # it to 1e-8, and the message says how far off it is and where
+        xs = np.linspace(-8.0, 8.0, 401)
+        vs = np.exp(-((xs - 2.0) ** 2)) + np.exp(-((xs + 2.0) ** 2))
+        energy = float(vs[200]) - 1e-14
+        rc, _, err = run_cli(
+            ["times", "--barrier", "tabulated", "--file", write_samples(tmp_path, xs, vs),
+             "--energy", repr(energy), "--quad-tol", "1e-8"],
+            capsys,
+        )
         assert rc == 3
         assert "QuadratureFailure" in err
-        assert "quad_tol" in err
-        assert "roundoff error is detected" in err
+        assert "quad_tol 1e-08" in err
+        achieved = float(err.split("achieved relative error ")[1].split()[0])
+        assert achieved > 1e-8
+        x = float(err.split("worst near x = ")[1].split(";")[0])
+        assert xs[199] < x < xs[201]
 
     def test_over_barrier_exit_code(self, capsys):
         rc, _, err = run_cli(

@@ -26,7 +26,8 @@ from tunneltimes.times import ett_he, ett_rectangular, tau_c_rectangular, times_
 from tunneltimes.turning import resolve_problem
 from tunneltimes.potentials import LaserCoulomb, Rectangular
 from tunneltimes.units import angstrom_to_au, ev_to_au, to_attoseconds, to_femtoseconds
-from tunneltimes.wkb import _integrate_adaptive
+
+from quadref import mapped_quad
 
 
 class TestTable1:
@@ -63,8 +64,8 @@ class TestTable1:
         for row in run_table1():
             barrier = LaserCoulomb(row.field, HE_MODELS[row.model])
             problem = resolve_problem(barrier, HE_ENERGY_AU)
-            phi = _integrate_adaptive(problem, False, 1e-13)
-            tau_c = _integrate_adaptive(problem, True, 1e-13)
+            phi = mapped_quad(problem, False, 1e-13)
+            tau_c = mapped_quad(problem, True, 1e-13)
             assert row.tau_c_as == pytest.approx(to_attoseconds(tau_c), rel=1e-12)
             assert row.ett_as == pytest.approx(to_attoseconds(ett_he(tau_c, phi)), rel=1e-12)
 
@@ -85,6 +86,21 @@ class TestKeldysh:
             keldysh_gamma(0.0, 0.904, 0.04)
         with pytest.raises(DomainError):
             keldysh_gamma(0.0228, 0.904, -0.04)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("position, name", [
+        (0, "omega"), (1, "ionization potential"), (2, "field"),
+    ])
+    def test_non_finite_argument_is_named(self, bad, position, name):
+        # omega or I_p = inf returned inf, and field = inf returned 0.0
+        args = [0.0228, 0.904, 0.04]
+        args[position] = bad
+        with pytest.raises(DomainError, match=name):
+            keldysh_gamma(*args)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(DomainError, match="overflows"):
+            keldysh_gamma(1e300, 1e300, 1e-300)
 
 
 class TestHeScan:
@@ -174,7 +190,7 @@ class TestEtScan:
         length_au = angstrom_to_au(10.0)
         problem = resolve_problem(Rectangular(v0_au, length_au), energy_au)
         # classical_time itself returns the closed form on a rectangle
-        tau_quad = to_femtoseconds(_integrate_adaptive(problem, True, 1e-10))
+        tau_quad = to_femtoseconds(mapped_quad(problem, True, 1e-10))
         tau_closed = to_femtoseconds(tau_c_rectangular(energy_au, v0_au, length_au))
         assert tau_closed == pytest.approx(tau_quad, rel=1e-9)
 

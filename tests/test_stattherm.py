@@ -48,6 +48,16 @@ class TestBracket:
         with pytest.raises(DomainError):
             bracket(bad)
 
+    def test_infinite_phi_rejected(self):
+        # it returned -inf
+        with pytest.raises(DomainError, match="phi"):
+            bracket(math.inf)
+
+    def test_largest_phi_stays_finite(self):
+        # 1 + 2 phi overflows at 1.7e308 but not at half of it, and
+        # B(2 phi) = B(phi) - log 2 up to 1/(2 phi)
+        assert bracket(1.7e308) == pytest.approx(bracket(0.85e308) - math.log(2.0), rel=1e-15)
+
 
 class TestPhiStar:
     def test_frozen_value(self):
@@ -79,10 +89,15 @@ class TestInverseTemperature:
             5.0 * inverse_temperature(1.0, 1.0), rel=1e-15
         )
 
-    @pytest.mark.parametrize("bad", [math.nan, -1.0, -1000.0])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -1000.0, math.inf])
     def test_domain(self, bad):
-        with pytest.raises(DomainError):
+        # phi = inf returned nan
+        with pytest.raises(DomainError, match="phi"):
             inverse_temperature(bad, 1.0)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(DomainError, match="not finite"):
+            inverse_temperature(0.0, 1e308)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_c_rejected(self, bad):

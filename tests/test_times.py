@@ -19,7 +19,9 @@ from tunneltimes.times import (
 )
 from tunneltimes.transmission import pt_rectangular_exact, pt_wkb
 from tunneltimes.turning import resolve_problem
-from tunneltimes.wkb import QUAD_TOL_DEFAULT, _integrate_adaptive
+from tunneltimes.wkb import QUAD_TOL_DEFAULT
+
+from quadref import mapped_quad
 
 RATIO = np.linspace(0.1, 0.9, 9)
 PHI = np.linspace(0.5, 10.0, 9)
@@ -34,8 +36,8 @@ class TestClosedForms:
 
     def test_match_quadrature(self):
         p = resolve_problem(Rectangular(1.0, 2.0), 0.5)
-        phi = _integrate_adaptive(p, False, QUAD_TOL_DEFAULT)
-        tau_c = _integrate_adaptive(p, True, QUAD_TOL_DEFAULT)
+        phi = mapped_quad(p, False, QUAD_TOL_DEFAULT)
+        tau_c = mapped_quad(p, True, QUAD_TOL_DEFAULT)
         assert phi == pytest.approx(phi_rectangular(0.5, 1.0, 2.0), rel=1e-10)
         assert tau_c == pytest.approx(tau_c_rectangular(0.5, 1.0, 2.0), rel=1e-9)
 
@@ -73,6 +75,18 @@ class TestEttGeneral:
     def test_transmission_domain(self):
         with pytest.raises(DomainError):
             ett_general(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_non_finite_transmission_rejected(self, bad):
+        # p_t = inf returned 0.0
+        with pytest.raises(DomainError, match="transmission probability"):
+            ett_general(1.0, 1.0, bad)
+
+    @pytest.mark.parametrize("bad", [-1000.0, -1.0, math.inf, math.nan])
+    def test_he_phi_domain(self, bad):
+        # phi = -1000 overflowed exp(-2 phi) with a bare OverflowError
+        with pytest.raises(DomainError, match="phi"):
+            ett_he(1.0, bad)
 
     def test_overflow_rejected(self):
         # at a subnormal energy exp(-2 phi)/p_t ~ 1/E exceeds the float range
@@ -188,8 +202,8 @@ class TestTriangularScalings:
     def test_matches_quadrature(self, v0, energy, field, length):
         phi_tri, tau_tri = triangular_scalings(v0, energy, field, length)
         p = resolve_problem(Triangular(v0, field, length), energy)
-        assert _integrate_adaptive(p, False, QUAD_TOL_DEFAULT) == pytest.approx(phi_tri, rel=1e-8)
-        assert _integrate_adaptive(p, True, QUAD_TOL_DEFAULT) == pytest.approx(tau_tri, rel=1e-8)
+        assert mapped_quad(p, False, QUAD_TOL_DEFAULT) == pytest.approx(phi_tri, rel=1e-8)
+        assert mapped_quad(p, True, QUAD_TOL_DEFAULT) == pytest.approx(tau_tri, rel=1e-8)
 
     def test_regime_boundary(self):
         # the turning point lands exactly on the support edge at field 0.25

@@ -52,6 +52,23 @@ class TestRectangularExact:
         with pytest.raises(DomainError):
             pt_rectangular_exact(bad, 1.0, 2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-300])
+    def test_phi_domain(self, bad):
+        # a NaN phi returned nan, and a negative one a number; pt_wkb rejects both
+        with pytest.raises(DomainError, match="phi"):
+            pt_rectangular_exact(0.5, 1.0, bad)
+        with pytest.raises(DomainError, match="phi"):
+            pt_wkb(bad)
+
+    @pytest.mark.parametrize("energy, v0, phi", [
+        (0.5, math.inf, 1.0),  # was nan
+        (5e-324, 0.125, 0.0),  # 4E(v0 - E) underflows: was ZeroDivisionError
+        (0.5, 1e200, 1.0),  # v0^2 overflows
+    ])
+    def test_float_range_rejected(self, energy, v0, phi):
+        with pytest.raises(DomainError, match="float range"):
+            pt_rectangular_exact(energy, v0, phi)
+
 
 class TestWkb:
     def test_limits(self):

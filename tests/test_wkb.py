@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tunneltimes import wkb
-from tunneltimes.errors import DomainError, SingularityError
+from tunneltimes.errors import DomainError, QuadratureFailure, SingularityError
 from tunneltimes.potentials import (
     CLEMENTI,
     KULLIE,
@@ -30,18 +30,21 @@ from tunneltimes.wkb import (
     dphi_dE,
 )
 
+from quadref import mapped_quad
+
 HE_ENERGY = -0.904
-ADAPTIVE = wkb._integrate_adaptive
 
 
 @pytest.fixture
 def no_fallback(monkeypatch):
-    """Fail the test if an integral leaves the fixed-order panel rule."""
+    """Fail the test if any panel of the family's own panel rule is
+    bisected; the kept result is dropped, so every problem is evaluated."""
 
     def fail(*args):
-        raise AssertionError("adaptive fallback taken")
+        raise AssertionError("panel bisected")
 
-    monkeypatch.setattr(wkb, "_integrate_adaptive", fail)
+    wkb._panel_rule.cache_clear()
+    monkeypatch.setattr(wkb, "_refine", fail)
 
 
 def sech2_barrier(knots, v0=1.0, a=1.0, span=10.0):
@@ -54,11 +57,18 @@ def rect_problem(v0=1.0, length=2.0, energy=0.5, mass=1.0):
 
 
 def panel_values(problem, quad_tol=QUAD_TOL_DEFAULT):
-    """The panel rule's (phi, tau_c), asserting that its error estimates
-    meet quad_tol, as _integrate requires before it skips the fallback."""
-    values, errors = wkb._panel_rule(problem)
-    assert all(e <= quad_tol * abs(v) for v, e in zip(values, errors))
-    return values
+    """The panel rule's (phi, tau_c), even where the family has a closed
+    form; with no_fallback, the first pass alone must meet quad_tol."""
+    return wkb._panel_rule(problem, quad_tol)
+
+
+def two_humps(knots, gap, quad_tol):
+    """Two Gaussian humps on knots of [-8, 8] at an energy gap below their
+    middle dip, a knot, and the panel rule's (phi, tau_c) there."""
+    xs = np.linspace(-8.0, 8.0, knots)
+    vs = np.exp(-((xs - 2.0) ** 2)) + np.exp(-((xs + 2.0) ** 2))
+    problem = resolve_problem(Tabulated(xs, vs), float(vs[knots // 2]) - gap)
+    return wkb._panel_rule(problem, quad_tol)
 
 
 class TestActionPhi:
@@ -194,8 +204,8 @@ class TestPanelRule:
         p = resolve_problem(ramp, energy)
         assert ramp.closed_form(energy, p.x_left, p.x_right, p.mass) is not None
         q = compute_wkb(p)
-        assert q.phi == pytest.approx(ADAPTIVE(p, False, 1e-13), rel=1e-13)
-        assert q.tau_c == pytest.approx(ADAPTIVE(p, True, 1e-13), rel=1e-13)
+        assert q.phi == pytest.approx(mapped_quad(p, False, 1e-13), rel=1e-13)
+        assert q.tau_c == pytest.approx(mapped_quad(p, True, 1e-13), rel=1e-13)
 
     @pytest.mark.parametrize(
         "barrier, energy, integrated",
@@ -216,9 +226,9 @@ class TestPanelRule:
         panel, evaluate = wkb._panel_rule, wkb.eval_potential
         panel.cache_clear()
 
-        def panel_spy(p):
+        def panel_spy(p, quad_tol):
             calls.append("_panel_rule")
-            return panel(p)
+            return panel(p, quad_tol)
 
         def eval_spy(b, x):
             calls.append("eval_potential")
@@ -251,29 +261,48 @@ class TestPanelRule:
     def test_coulomb_matches_adaptive(self, no_fallback, zeff, field):
         p = resolve_problem(LaserCoulomb(field, zeff), HE_ENERGY)
         q = compute_wkb(p)
-        phi = ADAPTIVE(p, False, 1e-13)
-        tau_c = ADAPTIVE(p, True, 1e-13)
+        phi = mapped_quad(p, False, 1e-13)
+        tau_c = mapped_quad(p, True, 1e-13)
         assert q.phi == pytest.approx(phi, rel=1e-12)
         assert q.tau_c == pytest.approx(tau_c, rel=1e-12)
 
-    def test_fallback_when_rules_disagree(self, monkeypatch):
-        # two humps whose middle dip, a knot, sits 1e-6 above E: p nearly
-        # vanishes there, the n- and 2n-node rules disagree on tau_c, and the
-        # adaptive path takes over for both integrals
-        xs = np.linspace(-8.0, 8.0, 101)
-        vs = np.exp(-((xs - 2.0) ** 2)) + np.exp(-((xs + 2.0) ** 2))
-        p = resolve_problem(Tabulated(xs, vs), float(vs[50]) - 1e-6)
-        calls = []
+    @pytest.mark.parametrize("quad_tol", [1e-10, 1e-8, 1e-6])
+    def test_refines_when_rules_disagree(self, monkeypatch, quad_tol):
+        # the middle dip of two humps on 101 knots sits 1e-6 above E: p nearly
+        # vanishes there, the n- and 2n-node rules disagree on tau_c, and
+        # bisecting the panels certifies both integrals. The reference is a
+        # 30-digit mpmath integral of the same PCHIP over every knot interval
+        refined = []
+        refine = wkb._refine
 
-        def spy(problem, want_time, quad_tol):
-            calls.append(want_time)
-            return ADAPTIVE(problem, want_time, quad_tol)
+        def spy(*args):
+            refined.append(True)
+            return refine(*args)
 
-        monkeypatch.setattr(wkb, "_integrate_adaptive", spy)
-        q = compute_wkb(p, quad_tol=1e-6)
-        assert calls == [False, True]
-        assert q.phi == ADAPTIVE(p, False, 1e-6)
-        assert q.tau_c == ADAPTIVE(p, True, 1e-6)
+        monkeypatch.setattr(wkb, "_refine", spy)
+        wkb._panel_rule.cache_clear()
+        phi, tau_c = two_humps(101, 1e-6, quad_tol)
+        assert refined == [True]
+        assert phi == pytest.approx(6.223712901447394, rel=quad_tol)
+        assert tau_c == pytest.approx(26.68673599759373, rel=quad_tol)
+
+    def test_dip_near_roundoff_raises(self):
+        # a dip 1e-10 above E asks for 1e-13: bisection walks toward the dip
+        # and the turning points, where V - E rounds to zero at nodes close
+        # enough; no number is returned
+        with pytest.raises(QuadratureFailure, match="quad_tol 1e-13"):
+            two_humps(401, 1e-10, 1e-13)
+
+    @pytest.mark.parametrize("quad_tol", [1e-10, 1e-6])
+    def test_touching_dip_is_never_certified(self, quad_tol):
+        # the dip sits at E itself, so tau_c diverges. Near it V - E rounds
+        # to zero at every node of a small panel, where both rules agree on
+        # m * jac / _P_FLOOR: such a panel must not count as converged, or a
+        # tau_c near 1e291 would be returned as certified
+        with pytest.raises(QuadratureFailure) as failure:
+            two_humps(401, 0.0, quad_tol)
+        x = float(str(failure.value).split("worst near x = ")[1].split(";")[0])
+        assert abs(x) < 1e-6
 
     def test_truncated_ramp_graded_toward_its_root(self, no_fallback):
         # the support ends just short of the ramp root, so p stays small but
