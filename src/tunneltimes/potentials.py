@@ -7,9 +7,11 @@ immutable value; evaluation is pure. Each family owns its facts: V(x) as
 ``potential``, the maximum as ``peak``, and ``turning_points`` by one rule:
 in closed form where the family has one (the support edges of a rectangle,
 the edge and linear root of a ramp, the quadratic of a constant Z_eff),
-otherwise by the bracketed root solve of the family's ``crossing`` over its
-``root_brackets``;
-then ``closed_form`` and ``panel_edges`` for the barrier integrals, exact or
+otherwise by a bracketed root solve that reaches the barrier through
+``potential``, ``root_brackets`` and ``crossing``: ``root_brackets(energy)``
+walks out to one bracket per turning point from a point of the family's
+choosing where V > E, or raises OverBarrier, and ``crossing`` writes V - E
+on a bracket without ``potential``'s domain checks; then ``closed_form`` and ``panel_edges`` for the barrier integrals, exact or
 by quadrature, and ``oracle_slices`` for the transfer-matrix oracle.
 Effective-charge models are callables: ``model(x)`` is Z_eff(x), and the SAE
 peak is the zero of V', with Z_eff' from ``SaeZeff.derivative``.
@@ -47,11 +49,16 @@ __all__ = [
 ]
 
 
+def _check_below(energy: float, v_max: float) -> None:
+    """Reject an energy at or above the barrier maximum v_max."""
+    if energy >= v_max:
+        raise OverBarrier(f"E = {energy} is not below the barrier maximum {v_max:.6g}")
+
+
 def _check_tunneling(energy: float, v0: float) -> None:
     """Reject an energy outside (0, v0) for a barrier on a zero floor; NaN
     fails the second test."""
-    if energy >= v0:
-        raise OverBarrier(f"E = {energy} is not below the barrier maximum {v0:.6g}")
+    _check_below(energy, v0)
     if not energy > 0:
         raise DomainError(f"energy must lie in (0, v0), got {energy}")
 
@@ -73,6 +80,7 @@ def _float_or_array(v):
 
 
 _ONE_PANEL = np.empty(0)
+_POWERS_OF_TWO = 2.0 ** np.arange(1, 64)
 
 
 def _doubling(d: float, span: float):
@@ -83,8 +91,21 @@ def _doubling(d: float, span: float):
     a fixed-order rule converges on each however close it is; the last panel
     is at least as long as the one before it.
     """
-    r = d * 2.0 ** np.arange(1, 64)
+    r = d * _POWERS_OF_TWO
     return r[r <= 0.5 * (span + d)] - d
+
+
+def _walk_down(f, start: float, factor: float):
+    """The ordered bracket of x and x * factor around the first sign change
+    of f, positive at start, along the points start * factor**k."""
+    x = start
+    for _ in range(200):
+        y = x * factor
+        if f(y) < 0.0:
+            return (y, x) if factor < 1.0 else (x, y)
+        x = y
+    side = "below" if factor < 1.0 else "above"
+    raise BracketFailure(f"no sign change {side} x = {start:.6g}")
 
 
 def _midpoints(a: float, b: float, slices: int):
@@ -335,24 +356,28 @@ class LaserCoulomb:
             return turning_points_quadratic(self.zeff.z, energy, self.field)
         return turning_points_bracketed(self, energy)
 
-    def _walk_below(self, energy: float, x: float, factor: float) -> float:
-        for _ in range(200):
-            if self.potential(x) < energy:
-                return x
-            x *= factor
-        side = "below" if factor < 1.0 else "above"
-        raise BracketFailure(f"no sign change {side} the barrier peak")
+    def _v_minus_e(self, energy: float):
+        # V - E at a float x > 0 without potential's domain checks; the
+        # residual check of turning_points_bracketed goes through potential
+        zeff, field = self.zeff, self.field
+        return lambda x: -zeff(x) / x - field * x - energy
 
-    def root_brackets(self, energy: float, x_peak: float):
+    def root_brackets(self, energy: float):
+        # split where V > E: first at sqrt(Z/F), the constant-charge peak
+        # with Z taken at 1/sqrt(F), else at the peak itself
+        f = self._v_minus_e(energy)
+        z = self.zeff(1.0 / math.sqrt(self.field))
+        x = math.sqrt(z / self.field) if 0.0 < z < math.inf else math.nan
+        if not (x > 0.0 and f(x) > 0.0):
+            x, v_max = self.peak()
+            _check_below(energy, v_max)
         # V -> -inf as x -> 0+, and as x -> +inf under the field term, so
-        # halving (doubling) away from the peak must find V < E
-        lo = self._walk_below(energy, 0.5 * x_peak, 0.5)
-        hi = self._walk_below(energy, 2.0 * x_peak, 2.0)
-        return (lo, x_peak), (x_peak, hi)
+        # halving (doubling) away from the split must find V < E
+        return _walk_down(f, x, 0.5), _walk_down(f, x, 2.0)
 
     def crossing(self, energy: float, lo: float, hi: float) -> float:
         """The x in [lo, hi], a bracket from root_brackets, where V(x) = E."""
-        return bracketed_root(lambda x: self.potential(x) - energy, lo, hi)
+        return bracketed_root(self._v_minus_e(energy), lo, hi)
 
     def oracle_slices(self, slices: int):
         raise DomainError(
@@ -434,6 +459,8 @@ class Tabulated:
         # the float path works on plain lists: bisect and Horner's rule in
         # Python beat a numpy call on one point
         object.__setattr__(self, "_knots", x.tolist())
+        object.__setattr__(self, "_samples", v.tolist())
+        object.__setattr__(self, "_top", int(np.argmax(v)))
         object.__setattr__(self, "_rows", coef.T.tolist())
 
     def potential(self, x):
@@ -477,10 +504,10 @@ class Tabulated:
         # PCHIP gives an interior extremum sample zero slope and is monotone
         # on every knot interval, so the interpolant peaks at the largest
         # sample
-        i = int(np.argmax(self.v))
+        i = self._top
         if i == 0 or i == self.x.size - 1:
             raise NoPeak("tabulated potential has no interior maximum")
-        return float(self.x[i]), float(self.v[i])
+        return self._knots[i], self._samples[i]
 
     def panel_edges(self, energy: float, lo: float, hi: float):
         # the knots strictly inside (lo, hi): the interpolant is one cubic
@@ -493,21 +520,22 @@ class Tabulated:
     def turning_points(self, energy: float):
         return turning_points_bracketed(self, energy)
 
-    def root_brackets(self, energy: float, x_peak: float):
-        # monotone knot intervals: walking out from the peak, the first
-        # sample below E closes the one interval that holds the crossing
-        i = int(np.searchsorted(self.x, x_peak))
-        below = np.flatnonzero(self.v < energy)
-        left, right = below[below < i], below[below > i]
-        if not (left.size and right.size):
+    def root_brackets(self, energy: float):
+        # monotone knot intervals: walking out from the peak sample, the
+        # first sample below E closes the one interval that holds the crossing
+        _check_below(energy, self.peak()[1])
+        knots, v, top = self._knots, self._samples, self._top
+        j = top - 1
+        while j >= 0 and not v[j] < energy:
+            j -= 1
+        k = top + 1
+        while k < len(v) and not v[k] < energy:
+            k += 1
+        if j < 0 or k == len(v):
             raise BracketFailure(
                 "tabulated potential does not drop below E on both sides of the peak"
             )
-        j, k = left[-1], right[0]
-        return (
-            (float(self.x[j]), float(self.x[j + 1])),
-            (float(self.x[k - 1]), float(self.x[k])),
-        )
+        return (knots[j], knots[j + 1]), (knots[k - 1], knots[k])
 
     def crossing(self, energy: float, lo: float, hi: float) -> float:
         # V - E on the knot interval [lo, hi] is its one cubic in t = x - lo,

@@ -5,10 +5,12 @@ turning points have a closed form returns them itself (the support edges of
 a rectangle, the edge and linear root of a ramp, the quadratic roots of a
 constant effective charge, here as ``turning_points_quadratic``); every
 other family goes through ``turning_points_bracketed``, which sees a barrier
-only through its ``potential``, ``peak``, ``root_brackets`` and ``crossing``:
-one ``bracketed_root`` solve on each side of the peak, of V - E as the family
-writes it on that bracket (for a tabulated barrier, the one cubic of the
-knot interval). ``bracketed_root`` is the package's one root solver:
+only through its ``potential``, ``root_brackets`` and ``crossing``. The
+family's ``root_brackets`` finds its own point where V > E, or raises
+OverBarrier when there is none, and returns one bracket on each side of it;
+``crossing`` solves V - E, as the family writes it on that bracket (for a
+tabulated barrier, the one cubic of the knot interval), by one
+``bracketed_root`` solve. ``bracketed_root`` is the package's one root solver:
 Chandrupatla's derivative-free hybrid of inverse quadratic interpolation and
 bisection (Adv. Eng. Softw. 28, 145 (1997)), which also finds the SAE peak,
 PHI_STAR and the entropy maximum.
@@ -136,12 +138,12 @@ def turning_points_quadratic(z: float, energy: float, field: float):
 
 def turning_points_bracketed(b: "Barrier", energy: float):
     """Turning points by a bracketed root solve of V(x) - E = 0 on each
-    side of the peak.
+    side of a point where V > E.
 
     The barrier's ``root_brackets`` gives one interval per turning point,
     with V - E changing sign across it, and its ``crossing`` solves for the
     root there; each root must meet |V(x) - E| <= ROOT_TOL through
-    ``potential``.
+    ``potential``, whose domain checks the two solves skip.
 
     Raises
     ------
@@ -150,18 +152,15 @@ def turning_points_bracketed(b: "Barrier", energy: float):
     OverBarrier
         E at or above the barrier maximum.
     BracketFailure
-        V - E has no sign change on one side of the peak.
+        V - E has no sign change on one side of the split.
     NoConvergence
         A root misses the residual |V(x) - E| <= ROOT_TOL.
     """
     # no bracket holds a NaN or infinite energy; say so, not that none was found
     if not math.isfinite(energy):
         raise DomainError(f"energy must be finite, got {energy}")
-    x_peak, v_max = b.peak()
-    if energy >= v_max:
-        raise OverBarrier(f"E = {energy} is not below the barrier maximum {v_max:.6g}")
     roots = []
-    for lo, hi in b.root_brackets(energy, x_peak):
+    for lo, hi in b.root_brackets(energy):
         root = b.crossing(energy, lo, hi)
         if abs(b.potential(root) - energy) > ROOT_TOL:
             raise NoConvergence(f"root residual at x = {root} exceeds {ROOT_TOL:g}")

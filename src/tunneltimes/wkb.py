@@ -85,25 +85,43 @@ def _gauss_legendre_pair(n: int):
 
 def _rules(problem: TunnelingProblem, lo: np.ndarray, span: np.ndarray):
     """phi and tau_c on the theta panels [lo, lo + span] (column vectors) by
-    the n- and 2n-node rules, shape (integral, panel, rule), and the momenta
-    at the nodes; root-tolerance slop in V - E at the turning points is
-    clamped to zero."""
+    the n- and 2n-node rules, shape (integral, panel, rule), and the mask of
+    nodes whose V - E was clamped to zero, or None where no node was:
+    root-tolerance slop in V - E at the turning points is clamped, a deeper
+    dip raises."""
     x_l, w, m = problem.x_left, problem.width, problem.mass
     nodes, weights = _gauss_legendre_pair(_ORDER)
-    theta = lo + span * nodes
+    theta = nodes * span
+    theta += lo
     s = np.sin(theta)
-    x = x_l + w * s * s
-    d = eval_potential(problem.barrier, x) - problem.energy
-    bad = d < -_CLAMP
-    if bad.any():
-        i = np.argmax(bad)
-        raise SingularityError(
-            f"V(x) - E = {d.flat[i]:.3g} at x = {x.flat[i]:.6g}: momentum vanishes "
-            "inside the forbidden region (malformed barrier)"
-        )
-    p = np.sqrt(2.0 * m * np.maximum(d, 0.0))
-    jac = w * np.sin(2.0 * theta)
-    return np.stack((p * jac, m * jac / np.maximum(p, _P_FLOOR))) @ weights * span, p
+    x = s * w
+    x *= s
+    x += x_l
+    d = eval_potential(problem.barrier, x)
+    d -= problem.energy
+    clamped = None
+    if d.min() <= 0.0:
+        bad = d < -_CLAMP
+        if bad.any():
+            i = np.argmax(bad)
+            raise SingularityError(
+                f"V(x) - E = {d.flat[i]:.3g} at x = {x.flat[i]:.6g}: momentum vanishes "
+                "inside the forbidden region (malformed barrier)"
+            )
+        clamped = d <= 0.0
+        np.maximum(d, 0.0, out=d)
+    d *= 2.0 * m
+    p = np.sqrt(d, out=d)
+    jac = np.multiply(theta, 2.0, out=theta)
+    np.sin(jac, out=jac)
+    jac *= w
+    f = np.empty((2,) + p.shape)
+    np.multiply(p, jac, out=f[0])
+    np.multiply(jac, m, out=f[1])
+    f[1] /= np.maximum(p, _P_FLOOR, out=p)
+    q = f @ weights
+    q *= span
+    return q, clamped
 
 
 @functools.lru_cache(maxsize=1)
@@ -112,30 +130,37 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
 
     Each value is the 2n-node sum over the panels, and its error estimate is
     |Q_2n - Q_n| summed over the panels, so panel errors cannot cancel in
-    it; if either misses quad_tol, _refine bisects panels. The last result
-    is kept, so that classical_time right after action_phi (as in
+    it; if either misses quad_tol, _refine bisects panels. A panel whose
+    every node has V - E clamped to zero (V = E on a plateau inside the
+    forbidden region, where tau_c diverges) never converges. The last
+    result is kept, so that classical_time right after action_phi (as in
     compute_wkb) evaluates the potential no second time.
     """
     x_l, w = problem.x_left, problem.width
     inner = problem.barrier.panel_edges(problem.energy, x_l, problem.x_right)
-    edges = np.arcsin(np.sqrt(np.concatenate(([0.0], (inner - x_l) / w, [1.0]))))
-    span = np.diff(edges)[:, None]
-    q, _ = _rules(problem, edges[:-1, None], span)
-    values = tuple(q[..., 1].sum(axis=1).tolist())
-    errors = tuple(np.abs(q[..., 1] - q[..., 0]).sum(axis=1).tolist())
+    edges = np.empty(inner.size + 2)
+    edges[0], edges[-1] = 0.0, 1.0
+    np.subtract(inner, x_l, out=edges[1:-1])
+    edges[1:-1] /= w
+    np.arcsin(np.sqrt(edges, out=edges), out=edges)
+    lo, span = edges[:-1, None], (edges[1:] - edges[:-1])[:, None]
+    q, clamped = _rules(problem, lo, span)
+    value, error = q[..., 1], np.abs(q[..., 1] - q[..., 0])
+    if clamped is not None:
+        error[:, clamped.all(axis=1)] = math.inf
+    (phi, tau_c), (e_phi, e_tau_c) = value.sum(axis=1).tolist(), error.sum(axis=1).tolist()
     # both integrands are built from the same p(x), and tau_c's is the more
     # singular: its convergence is the sharper test that the nodes resolve p
-    if all(e <= quad_tol * abs(v) for v, e in zip(values, errors)):
-        return values
-    return _refine(problem, quad_tol, edges[:-1], span[:, 0], q)
+    if e_phi <= quad_tol * abs(phi) and e_tau_c <= quad_tol * abs(tau_c):
+        return phi, tau_c
+    return _refine(problem, quad_tol, lo[:, 0], span[:, 0], value, error)
 
 
-def _refine(problem: TunnelingProblem, quad_tol: float, lo, span, q):
+def _refine(problem: TunnelingProblem, quad_tol: float, lo, span, value, error):
     """Bisect each panel whose |Q_2n - Q_n| exceeds its share of the budget,
     its fraction of the theta range, and evaluate only the new halves, until
     both sums meet quad_tol. A new half with a clamped node (p = 0, where both
     rules would agree on nonsense) never converges."""
-    value, error = q[..., 1], np.abs(q[..., 1] - q[..., 0])
     limit = lo.size + _PANEL_BUDGET
     while True:
         total = value.sum(axis=1)
@@ -155,9 +180,10 @@ def _refine(problem: TunnelingProblem, quad_tol: float, lo, span, q):
             )
         keep, half = ~split, 0.5 * span[split]
         new_lo = np.concatenate((lo[split], lo[split] + half))
-        new_q, p = _rules(problem, new_lo[:, None], np.tile(half, 2)[:, None])
+        new_q, clamped = _rules(problem, new_lo[:, None], np.tile(half, 2)[:, None])
         new_error = np.abs(new_q[..., 1] - new_q[..., 0])
-        new_error[:, (p == 0.0).any(axis=1)] = math.inf
+        if clamped is not None:
+            new_error[:, clamped.any(axis=1)] = math.inf
         lo, span = np.concatenate((lo[keep], new_lo)), np.concatenate((span[keep], half, half))
         value = np.concatenate((value[:, keep], new_q[..., 1]), axis=1)
         error = np.concatenate((error[:, keep], new_error), axis=1)

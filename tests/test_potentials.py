@@ -177,8 +177,7 @@ class TestTabulatedPeakAndBrackets:
     def test_brackets_are_the_crossing_knot_intervals(self):
         b = _sech2(101)
         energy = 0.3
-        x_peak, _ = b.peak()
-        for (lo, hi), rising in zip(b.root_brackets(energy, x_peak), (True, False)):
+        for (lo, hi), rising in zip(b.root_brackets(energy), (True, False)):
             i = int(np.searchsorted(b.x, lo))
             assert (b.x[i], b.x[i + 1]) == (lo, hi)
             below, above = (lo, hi) if rising else (hi, lo)
@@ -188,7 +187,7 @@ class TestTabulatedPeakAndBrackets:
         xs = np.linspace(0.0, 1.0, 10)
         b = Tabulated(xs, 1.0 - (xs - 0.2) ** 2)
         with pytest.raises(BracketFailure):
-            b.root_brackets(0.5, b.peak()[0])
+            b.root_brackets(0.5)
 
 
 class TestBarrierPeak:

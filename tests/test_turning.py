@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from tunneltimes import turning
-from tunneltimes.errors import BracketFailure, DomainError, NoConvergence, OverBarrier
+from tunneltimes import potentials, turning
+from tunneltimes.errors import (
+    BracketFailure,
+    DomainError,
+    NoConvergence,
+    OverBarrier,
+    TunnelTimesError,
+)
 from tunneltimes.potentials import (
     CLEMENTI,
     KULLIE,
     SAE,
     LaserCoulomb,
     Rectangular,
+    SaeZeff,
     Tabulated,
     Triangular,
     barrier_peak,
@@ -161,7 +168,7 @@ class TestSelfConsistent:
         with pytest.raises(DomainError, match="energy must be finite"):
             resolve_problem(LaserCoulomb(0.04, SAE), energy)
 
-    @pytest.mark.parametrize("field", [1e-5, 1e-4, 0.04, 0.11, 0.2])
+    @pytest.mark.parametrize("field", [1e-5, 1e-4, 0.04, 0.07, 0.11, 0.2])
     def test_roots_match_mpmath(self, field):
         # an independent 30-digit root of V(x) = E, seeded at the float root
         mp = pytest.importorskip("mpmath")
@@ -181,6 +188,73 @@ class TestSelfConsistent:
             for x in _sae_roots(field):
                 ref = float(mp.findroot(v, mp.mpf(x)))
                 assert x == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.fixture
+def sae_calls(monkeypatch):
+    """Counts of SaeZeff evaluations: Z_eff ('zeff') and Z_eff' ('derivative')."""
+    counts = {"zeff": 0, "derivative": 0}
+    call, derivative = SaeZeff.__call__, SaeZeff.derivative
+
+    def counting_call(self, x):
+        counts["zeff"] += 1
+        return call(self, x)
+
+    def counting_derivative(self, x):
+        counts["derivative"] += 1
+        return derivative(self, x)
+
+    monkeypatch.setattr(SaeZeff, "__call__", counting_call)
+    monkeypatch.setattr(SaeZeff, "derivative", counting_derivative)
+    return counts
+
+
+class TestSaeBrackets:
+    """The SAE split: sqrt(Z/F) with Z taken at 1/sqrt(F) where V > E there,
+    else the peak; halving and doubling walks from the split."""
+
+    @pytest.mark.parametrize("field", np.linspace(0.04, 0.11, 8).tolist())
+    def test_resolve_needs_no_peak(self, sae_calls, field):
+        resolve_problem(LaserCoulomb(field, SAE), HE_ENERGY)
+        assert sae_calls["derivative"] == 0
+        assert sae_calls["zeff"] <= 30
+
+    @pytest.mark.parametrize("field", [0.04, 0.11])
+    def test_energy_just_below_the_peak_takes_the_peak_path(self, sae_calls, field):
+        b = LaserCoulomb(field, SAE)
+        x_peak, v_max = b.peak()
+        energy = v_max - 1e-8 * abs(v_max)
+        sae_calls["derivative"] = 0
+        p = resolve_problem(b, energy)
+        assert sae_calls["derivative"] > 0
+        assert p.x_left < x_peak < p.x_right
+
+    def test_over_barrier_names_the_maximum(self):
+        b = LaserCoulomb(0.3, SAE)
+        with pytest.raises(OverBarrier, match=f"barrier maximum {b.peak()[1]:.6g}"):
+            resolve_problem(b, HE_ENERGY)
+
+    @pytest.mark.parametrize("energy", [HE_ENERGY, -1.2, "near peak"])
+    @pytest.mark.parametrize("field", [1e-4, 0.04, 0.07, 0.11])
+    def test_brackets_hold_their_root_within_a_factor_of_two(self, field, energy):
+        b = LaserCoulomb(field, SAE)
+        if energy == "near peak":
+            energy = b.peak()[1] * (1.0 + 1e-8)
+        brackets = b.root_brackets(energy)
+        for (lo, hi), root in zip(brackets, b.turning_points(energy)):
+            assert 0.0 < lo <= root <= hi <= 2.0 * lo
+            assert (b.potential(lo) < energy) != (b.potential(hi) < energy)
+
+    def test_non_positive_charge_at_the_split_is_an_error_of_the_package(self):
+        # Z_eff = -1 everywhere: the split's sqrt(Z/F) does not exist, and
+        # the peak path must fail with one of the package's errors
+        b = LaserCoulomb(0.04, SaeZeff(Z=-1.0, a1=0.0, a3=0.0, a5=0.0))
+        with pytest.raises(TunnelTimesError):
+            resolve_problem(b, HE_ENERGY)
+
+    def test_failed_walk_names_its_start(self):
+        with pytest.raises(BracketFailure, match="no sign change below x = 3"):
+            potentials._walk_down(lambda x: 1.0, 3.0, 0.5)
 
 
 class TestBracketed:

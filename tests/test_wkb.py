@@ -304,6 +304,21 @@ class TestPanelRule:
         x = float(str(failure.value).split("worst near x = ")[1].split(";")[0])
         assert abs(x) < 1e-6
 
+    def test_plateau_at_the_energy_is_never_certified(self):
+        # samples 7-9 of the 17-knot humps set to E make V = E on the
+        # plateau [-1, 1] inside the forbidden region, so tau_c diverges.
+        # Every node of the first pass's two plateau panels clamps V - E to
+        # zero, where both rules agree on m * jac / _P_FLOOR
+        xs = np.linspace(-8.0, 8.0, 17)
+        vs = np.exp(-((xs - 2.0) ** 2)) + np.exp(-((xs + 2.0) ** 2))
+        vs[7:10] = 0.25
+        problem = resolve_problem(Tabulated(xs, vs), 0.25)
+        wkb._panel_rule.cache_clear()
+        with pytest.raises(QuadratureFailure) as failure:
+            times_report(problem)
+        x = float(str(failure.value).split("worst near x = ")[1].split(";")[0])
+        assert -1.0 <= x <= 1.0
+
     def test_truncated_ramp_graded_toward_its_root(self, no_fallback):
         # the support ends just short of the ramp root, so p stays small but
         # nonzero at x_R; panels graded toward the root keep the rule exact
