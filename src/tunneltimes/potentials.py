@@ -11,8 +11,11 @@ otherwise by a bracketed root solve that reaches the barrier through
 ``potential``, ``root_brackets`` and ``crossing``: ``root_brackets(energy)``
 walks out to one bracket per turning point from a point of the family's
 choosing where V > E, or raises OverBarrier, and ``crossing`` writes V - E
-on a bracket without ``potential``'s domain checks; then ``closed_form`` and ``panel_edges`` for the barrier integrals, exact or
-by quadrature, and ``oracle_slices`` for the transfer-matrix oracle.
+on a bracket without ``potential``'s domain checks; then ``closed_form`` and
+``panel_edges`` for the barrier integrals, exact (any window inside a
+rectangle, a full ramp, the full window of a constant-charge Coulomb
+barrier) or by quadrature, and ``oracle_slices`` for the transfer-matrix
+oracle.
 Effective-charge models are callables: ``model(x)`` is Z_eff(x), and the SAE
 peak is the zero of V', with Z_eff' from ``SaeZeff.derivative``.
 ``potential`` and the models take a float or a numpy array; a float in gives
@@ -106,6 +109,35 @@ def _walk_down(f, start: float, factor: float):
         x = y
     side = "below" if factor < 1.0 else "above"
     raise BracketFailure(f"no sign change {side} x = {start:.6g}")
+
+
+_AGM_STEPS = 32  # k' = sqrt(5e-324) / sqrt(1.8e308), the smallest k', needs 13
+
+
+def _elliptic_e_g(a: float, b: float):
+    """E(m) and G = (2 - m) E(m) - 2 (1 - m) K(m) for m = 1 - a/b, 0 < a < b,
+    from one arithmetic-geometric mean of 1 and k' = sqrt(a/b) (Abramowitz
+    & Stegun 17.6): K = pi / (2 a_N), E = K (1 - m/2 - S) and G = K (m^2/2 -
+    (2 - m) S), with S the sum of 2^(n-1) c_n^2 over n >= 1. c_1 = (1 - k')/2
+    = m / (2 (1 + k')) and c_(n+1) = c_n^2 / (4 a_(n+1)) carry a_n - g_n
+    without cancellation, and reach 0 rather than stall at an ulp.
+    G in this form keeps its digits as m -> 0, where (2 - m) E - 2 (1 - m) K
+    cancels; as k' -> 0 both brackets cancel by a factor of about ln(4/k')/2
+    (2 at k' = 0.1, 12 at k' = 1e-10)."""
+    m = (b - a) / b
+    k1 = math.sqrt(a) / math.sqrt(b)
+    an, gn = 0.5 * (1.0 + k1), math.sqrt(k1)
+    c = 0.5 * m / (1.0 + k1)
+    s, w = c * c, 1.0
+    for _ in range(_AGM_STEPS):
+        if c <= 1e-15 * an:
+            break
+        gn, an = math.sqrt(an * gn), 0.5 * (an + gn)
+        c = c * c / (4.0 * an)
+        w += w
+        s += w * c * c
+    k = 0.5 * math.pi / an
+    return k * (1.0 - 0.5 * m - s), k * (0.5 * m * m - (2.0 - m) * s)
 
 
 def _midpoints(a: float, b: float, slices: int):
@@ -349,7 +381,24 @@ class LaserCoulomb:
         return lo + _doubling(lo, hi - lo) if lo > 0.0 else _ONE_PANEL
 
     def closed_form(self, energy: float, x_left: float, x_right: float, mass: float):
-        return None
+        # a constant Z_eff on the window of its own quadratic's roots a < b,
+        # where V - E = F (x - a)(b - x)/x: at mass mu and m = 1 - a/b,
+        # phi = sqrt(2 mu F) (2/3) b^(3/2) G and tau_c = sqrt(mu / (2F))
+        # 2 sqrt(b) E (Byrd & Friedman, Handbook of Elliptic Integrals
+        # (1971)). Any other window, or an energy without roots, stays with
+        # the panel rule
+        if not isinstance(self.zeff, ConstantZeff):
+            return None
+        try:
+            roots = self.turning_points(energy)
+        except (DomainError, OverBarrier):
+            return None
+        if (x_left, x_right) != roots:
+            return None
+        e, g = _elliptic_e_g(x_left, x_right)
+        root_b = math.sqrt(x_right)
+        phi = math.sqrt(2.0 * mass * self.field) * x_right * root_b * (2.0 / 3.0) * g
+        return phi, math.sqrt(mass / (2.0 * self.field)) * 2.0 * root_b * e
 
     def turning_points(self, energy: float):
         if isinstance(self.zeff, ConstantZeff):

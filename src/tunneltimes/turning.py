@@ -112,10 +112,15 @@ def turning_points_quadratic(z: float, energy: float, field: float):
 
     The vanishing-kinetic-energy condition -z/x - field*x = E with E < 0 and
     x > 0 is the quadratic field*x**2 - |E|*x + z = 0; its two positive roots
-    are returned ascending.
+    are returned ascending, the smaller as 2z/(|E| + s) with s the square
+    root of the discriminant.
 
     Raises
     ------
+    DomainError
+        A nonpositive charge or field, an energy that is not negative and
+        finite, or roots that leave the floating-point range: x_L
+        underflowing to 0, or x_R or the discriminant overflowing.
     OverBarrier
         Discriminant <= 0: the energy is at or above the barrier maximum
         -2*sqrt(z*field), so no forbidden region exists.
@@ -124,8 +129,8 @@ def turning_points_quadratic(z: float, energy: float, field: float):
         raise DomainError(f"effective charge must be positive, got {z}")
     if not field > 0:
         raise DomainError(f"field strength must be positive, got {field}")
-    if not energy < 0:
-        raise DomainError(f"energy must be negative, got {energy}")
+    if not -math.inf < energy < 0.0:
+        raise DomainError(f"energy must be negative and finite, got {energy}")
     abs_e = -energy
     disc = abs_e * abs_e - 4.0 * z * field
     if disc <= 0.0:
@@ -133,7 +138,15 @@ def turning_points_quadratic(z: float, energy: float, field: float):
             f"E = {energy} is not below the barrier maximum {-2.0 * math.sqrt(z * field):.6g}"
         )
     s = math.sqrt(disc)
-    return (abs_e - s) / (2.0 * field), (abs_e + s) / (2.0 * field)
+    # x_L x_R = z/field gives the smaller root without the cancellation of
+    # |E| - s in weak fields
+    x_l, x_r = 2.0 * z / (abs_e + s), (abs_e + s) / (2.0 * field)
+    if not (0.0 < x_l and x_r < math.inf):
+        raise DomainError(
+            f"turning points at E = {energy}, field {field}, z {z} leave the floating-point "
+            f"range: x_L = 2z/(|E| + s) = {x_l:.6g}, x_R = (|E| + s)/(2 field) = {x_r:.6g}"
+        )
+    return x_l, x_r
 
 
 def turning_points_bracketed(b: "Barrier", energy: float):

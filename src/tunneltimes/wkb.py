@@ -12,10 +12,11 @@ carries dx = (x_R - x_L)*sin(2t)*dt, which cancels that divergence
 analytically; after the map both integrands are bounded and smooth.
 
 A barrier family that knows both integrals in closed form for the window
-(``closed_form``: a rectangle, or a ramp up to its own root) gives them
-exactly. Every other window is integrated by fixed-order Gauss-Legendre
-panels on the mapped variable, with one potential evaluation at all nodes
-serving both integrals. The barrier's ``panel_edges`` set the panels: one per
+(``closed_form``: any window inside a rectangle, a ramp up to its own root,
+or the full window of a constant-charge Coulomb barrier, by complete
+elliptic integrals) gives them exactly. Every other window is integrated by
+fixed-order Gauss-Legendre panels on the mapped variable, with one potential
+evaluation at all nodes serving both integrals. The barrier's ``panel_edges`` set the panels: one per
 knot interval for a tabulated barrier, whose PCHIP interpolant is a cubic on
 each interval but only C^1 across knots; panels that double in length away
 from the pole at x = 0 of the laser-Coulomb barrier or the root of a
@@ -132,7 +133,7 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
     |Q_2n - Q_n| summed over the panels, so panel errors cannot cancel in
     it; if either misses quad_tol, _refine bisects panels. A panel whose
     every node has V - E clamped to zero (V = E on a plateau inside the
-    forbidden region, where tau_c diverges) never converges. The last
+    forbidden region, where tau_c diverges) raises at once. The last
     result is kept, so that classical_time right after action_phi (as in
     compute_wkb) evaluates the potential no second time.
     """
@@ -145,9 +146,9 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
     np.arcsin(np.sqrt(edges, out=edges), out=edges)
     lo, span = edges[:-1, None], (edges[1:] - edges[:-1])[:, None]
     q, clamped = _rules(problem, lo, span)
-    value, error = q[..., 1], np.abs(q[..., 1] - q[..., 0])
     if clamped is not None:
-        error[:, clamped.all(axis=1)] = math.inf
+        _check_not_plateau(problem, lo[:, 0], span[:, 0], clamped)
+    value, error = q[..., 1], np.abs(q[..., 1] - q[..., 0])
     (phi, tau_c), (e_phi, e_tau_c) = value.sum(axis=1).tolist(), error.sum(axis=1).tolist()
     # both integrands are built from the same p(x), and tau_c's is the more
     # singular: its convergence is the sharper test that the nodes resolve p
@@ -156,11 +157,26 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
     return _refine(problem, quad_tol, lo[:, 0], span[:, 0], value, error)
 
 
+def _check_not_plateau(problem: TunnelingProblem, lo, span, clamped) -> None:
+    """Raise QuadratureFailure if V - E was clamped to zero at every node of
+    a theta panel [lo, lo + span]: V = E across it inside the forbidden
+    region, where tau_c diverges and no bisection can converge."""
+    flat = clamped.all(axis=1)
+    if flat.any():
+        i = np.argmax(flat)
+        x = problem.x_left + problem.width * math.sin(lo[i] + 0.5 * span[i]) ** 2
+        raise QuadratureFailure(
+            f"V(x) - E is zero at every node of a panel near x = {x:.6g}: V = E there "
+            "inside the forbidden region, so tau_c diverges"
+        )
+
+
 def _refine(problem: TunnelingProblem, quad_tol: float, lo, span, value, error):
     """Bisect each panel whose |Q_2n - Q_n| exceeds its share of the budget,
     its fraction of the theta range, and evaluate only the new halves, until
     both sums meet quad_tol. A new half with a clamped node (p = 0, where both
-    rules would agree on nonsense) never converges."""
+    rules would agree on nonsense) never converges, and one clamped at every
+    node raises at once."""
     limit = lo.size + _PANEL_BUDGET
     while True:
         total = value.sum(axis=1)
@@ -179,12 +195,13 @@ def _refine(problem: TunnelingProblem, quad_tol: float, lo, span, value, error):
                 "nearly touches E"
             )
         keep, half = ~split, 0.5 * span[split]
-        new_lo = np.concatenate((lo[split], lo[split] + half))
-        new_q, clamped = _rules(problem, new_lo[:, None], np.tile(half, 2)[:, None])
+        new_lo, new_span = np.concatenate((lo[split], lo[split] + half)), np.tile(half, 2)
+        new_q, clamped = _rules(problem, new_lo[:, None], new_span[:, None])
         new_error = np.abs(new_q[..., 1] - new_q[..., 0])
         if clamped is not None:
+            _check_not_plateau(problem, new_lo, new_span, clamped)
             new_error[:, clamped.any(axis=1)] = math.inf
-        lo, span = np.concatenate((lo[keep], new_lo)), np.concatenate((span[keep], half, half))
+        lo, span = np.concatenate((lo[keep], new_lo)), np.concatenate((span[keep], new_span))
         value = np.concatenate((value[:, keep], new_q[..., 1]), axis=1)
         error = np.concatenate((error[:, keep], new_error), axis=1)
 

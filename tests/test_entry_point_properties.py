@@ -1,12 +1,14 @@
-"""Property test of the public scalar entry points: for any float input,
-including NaN, +-inf, subnormals and actions past 354, each returns a finite
-number or raises a TunnelTimesError."""
+"""Property tests of the public entry points: for any float input, including
+NaN, +-inf, subnormals and actions past 354, each returns finite numbers or
+raises a TunnelTimesError."""
 
 import math
 
 import pytest
 
 from tunneltimes import (
+    ConstantZeff,
+    LaserCoulomb,
     TunnelTimesError,
     bracket,
     ett_general,
@@ -15,6 +17,8 @@ from tunneltimes import (
     keldysh_gamma,
     pt_rectangular_exact,
     pt_wkb,
+    resolve_problem,
+    times_report,
 )
 
 pytest.importorskip("hypothesis")
@@ -47,3 +51,24 @@ def test_finite_or_tunneltimes_error(entry, args):
     except TunnelTimesError:
         return
     assert math.isfinite(value)
+
+
+# any float, and besides it fields and charges of every positive magnitude,
+# subnormals included, and negative energies, so that many draws have a
+# forbidden region
+HELIUM = st.sampled_from([1e-300, 1e-20, 0.04, 0.11, 1.375, 16.0])
+POSITIVE = st.one_of(st.floats(), HELIUM, st.floats(0.0, exclude_min=True, allow_infinity=False))
+NEGATIVE = st.one_of(
+    st.floats(), st.sampled_from([-0.904, -1e300]), st.floats(max_value=0.0, exclude_max=True)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=POSITIVE, z=POSITIVE, energy=NEGATIVE)
+def test_constant_charge_times_report_finite_or_tunneltimes_error(field, z, energy):
+    try:
+        report = times_report(resolve_problem(LaserCoulomb(field, ConstantZeff(z)), energy))
+    except TunnelTimesError:
+        return
+    # kBT is +inf by design once exp(2 phi) overflows
+    assert all(map(math.isfinite, (report.phi, report.tau_c, report.ett, report.p_t_used)))

@@ -127,6 +127,32 @@ class TestQuadratic:
         assert all(a < b for a, b in zip(x_ls, x_ls[1:]))
         assert all(a > b for a, b in zip(x_rs, x_rs[1:]))
 
+    @pytest.mark.parametrize("z", [1.375, 1.6875, 1.0, 16.0])
+    @pytest.mark.parametrize(
+        "frac", [1e-300, 1e-100, 1e-20, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99]
+    )
+    def test_roots_match_mpmath(self, z, frac):
+        # fields from a vanishing fraction of the barrier top E^2/(4z) up to
+        # 0.99 of it; x_L must not lose digits to |E| - s in weak fields,
+        # where that difference rounded it to 0 below a field of about 1e-17
+        mp = pytest.importorskip("mpmath")
+        field = frac * HE_ENERGY**2 / (4.0 * z)
+        x_l, x_r = turning_points_quadratic(z, HE_ENERGY, field)
+        with mp.workdps(40):
+            ae, zm, f = -mp.mpf(HE_ENERGY), mp.mpf(z), mp.mpf(field)
+            s = mp.sqrt(ae * ae - 4 * zm * f)
+            assert x_l == pytest.approx(float(2 * zm / (ae + s)), rel=1e-15, abs=0.0)
+            assert x_r == pytest.approx(float((ae + s) / (2 * f)), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("z, energy, field", [(1.375, HE_ENERGY, 5e-324),
+                                                  (1.375, HE_ENERGY, 1e-309),
+                                                  (5e-324, -1e100, 1e-100)])
+    def test_roots_leaving_the_floats_are_a_domain_error(self, z, energy, field):
+        # an x_R that overflows (or an x_L that underflows) is not a turning
+        # point; the panel rule would otherwise meet V - E = -inf at x = inf
+        with pytest.raises(DomainError, match="floating-point range"):
+            turning_points_quadratic(z, energy, field)
+
     def test_gap_shrinks_as_energy_rises(self):
         energies = [-1.2, -1.0, -0.904, -0.7, -0.5]
         widths = [

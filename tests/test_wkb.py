@@ -8,6 +8,7 @@ from tunneltimes.errors import DomainError, QuadratureFailure, SingularityError
 from tunneltimes.potentials import (
     CLEMENTI,
     KULLIE,
+    ConstantZeff,
     SAE,
     LaserCoulomb,
     Rectangular,
@@ -94,7 +95,16 @@ class TestActionPhi:
         tight = action_phi(p, quad_tol=1e-12)
         assert abs(loose - tight) / tight < 1e-9
 
+    def test_tolerance_honesty_sae(self):
+        # the constant charge has a closed form; SAE keeps the panel rule
+        # on a window a distance x_L from the Coulomb pole
+        p = resolve_problem(LaserCoulomb(0.04, SAE), HE_ENERGY)
+        loose = action_phi(p, quad_tol=1e-8)
+        tight = action_phi(p, quad_tol=1e-12)
+        assert abs(loose - tight) / tight < 1e-9
+
     def test_window_reaching_the_coulomb_pole_flagged(self):
+        # not the quadratic's roots, so the panel rule and not the closed form
         bad = TunnelingProblem(HE_ENERGY, 1.0, LaserCoulomb(0.04, KULLIE), 0.0, 20.0)
         with pytest.raises(SingularityError):
             action_phi(bad)
@@ -136,6 +146,12 @@ class TestClassicalTime:
         tight = classical_time(p, quad_tol=1e-12)
         assert abs(loose - tight) / tight < 1e-8
 
+    def test_endpoint_singularity_integrates_cleanly_sae(self):
+        p = resolve_problem(LaserCoulomb(0.11, SAE), HE_ENERGY)
+        loose = classical_time(p, quad_tol=1e-8)
+        tight = classical_time(p, quad_tol=1e-12)
+        assert abs(loose - tight) / tight < 1e-8
+
 
 class TestEnergyDerivative:
     def test_rectangular_matches_closed_form(self):
@@ -144,6 +160,12 @@ class TestEnergyDerivative:
 
     def test_step_halving_stable(self):
         p = resolve_problem(LaserCoulomb(0.04, KULLIE), HE_ENERGY)
+        d1 = dphi_dE(p, step=1e-5)
+        d2 = dphi_dE(p, step=5e-6)
+        assert abs(d1 - d2) / abs(d2) < 1e-6
+
+    def test_step_halving_stable_sae(self):
+        p = resolve_problem(LaserCoulomb(0.04, SAE), HE_ENERGY)
         d1 = dphi_dE(p, step=1e-5)
         d2 = dphi_dE(p, step=5e-6)
         assert abs(d1 - d2) / abs(d2) < 1e-6
@@ -166,6 +188,84 @@ class TestComputeWkb:
 
     def test_default_tolerance_exported(self):
         assert QUAD_TOL_DEFAULT == 1e-10
+
+
+def elliptic_reference(problem):
+    """40-digit (phi, tau_c) of a constant-charge problem on its float turning
+    points a < b, from mpmath's complete elliptic integrals of m = 1 - a/b;
+    the working precision grows with log10(b/a), so that m keeps 40 digits
+    below 1."""
+    mp = pytest.importorskip("mpmath")
+    a, b = problem.x_left, problem.x_right
+    with mp.workdps(40 + int(math.log10(b / a))):
+        a, b, f, mu = (mp.mpf(v) for v in (a, b, problem.barrier.field, problem.mass))
+        m = 1 - a / b
+        k, e = mp.ellipk(m), mp.ellipe(m)
+        g = (2 - m) * e - 2 * (1 - m) * k
+        phi = mp.sqrt(2 * mu * f) * 2 * b * mp.sqrt(b) * g / 3
+        return float(phi), float(mp.sqrt(mu / (2 * f)) * 2 * mp.sqrt(b) * e)
+
+
+class TestConstantChargeClosedForm:
+    @pytest.mark.parametrize("z", [1.375, 1.6875, 1.0, 16.0])
+    @pytest.mark.parametrize("frac", [1e-20, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99])
+    def test_matches_mpmath_elliptic_integrals(self, z, frac):
+        # fields from a vanishing fraction of the barrier top E^2/(4z) up to
+        # 0.99 of it
+        field = frac * HE_ENERGY**2 / (4.0 * z)
+        problem = resolve_problem(LaserCoulomb(field, ConstantZeff(z)), HE_ENERGY)
+        q = compute_wkb(problem)
+        phi, tau_c = elliptic_reference(problem)
+        assert q.phi == pytest.approx(phi, rel=1e-14, abs=0.0)
+        assert q.tau_c == pytest.approx(tau_c, rel=1e-14, abs=0.0)
+
+    def test_elliptic_reference_is_the_integral(self):
+        # the reference itself, once against mpmath quadrature of
+        # sqrt(2 F (x - a)(b - x)/x) and its reciprocal over [a, b]
+        mp = pytest.importorskip("mpmath")
+        problem = resolve_problem(LaserCoulomb(0.05, CLEMENTI), HE_ENERGY)
+        phi, tau_c = elliptic_reference(problem)
+        with mp.workdps(40):
+            a, b, f = (mp.mpf(v) for v in (problem.x_left, problem.x_right, 0.05))
+            p = lambda x: mp.sqrt(2 * f * (x - a) * (b - x) / x)
+            assert phi == pytest.approx(float(mp.quad(p, [a, b])), rel=1e-15)
+            assert tau_c == pytest.approx(float(mp.quad(lambda x: 1 / p(x), [a, b])), rel=1e-15)
+
+    @pytest.mark.parametrize("mass", [1.0, 1836.15])
+    def test_mass_scaling(self, mass):
+        problem = resolve_problem(LaserCoulomb(0.07, KULLIE), HE_ENERGY, mass=mass)
+        q = compute_wkb(problem)
+        phi, tau_c = elliptic_reference(problem)
+        assert q.phi == pytest.approx(phi, rel=1e-14, abs=0.0)
+        assert q.tau_c == pytest.approx(tau_c, rel=1e-14, abs=0.0)
+
+    def test_vanishing_field_is_finite(self):
+        # at F = 1e-300 the window spans 300 decades; E = K (1 - m/2 - S)
+        # loses about ln(4/k') ulps to cancellation there
+        problem = resolve_problem(LaserCoulomb(1e-300, KULLIE), HE_ENERGY)
+        q = compute_wkb(problem)
+        phi, tau_c = elliptic_reference(problem)
+        assert math.isfinite(q.phi) and math.isfinite(q.tau_c)
+        assert q.phi == pytest.approx(phi, rel=1e-12, abs=0.0)
+        assert q.tau_c == pytest.approx(tau_c, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "zeff, energy, window",
+        [
+            (KULLIE, HE_ENERGY, (0.0, 20.0)),  # a hand-built window
+            (KULLIE, HE_ENERGY, "shifted"),  # x_R one ulp short of its root
+            (KULLIE, -0.3, (1.0, 2.0)),  # above the barrier top
+            (KULLIE, 0.5, (1.0, 2.0)),  # no roots at all
+            (KULLIE, math.nan, (1.0, 2.0)),
+            (SAE, HE_ENERGY, "roots"),  # Z_eff depends on x
+        ],
+    )
+    def test_only_the_full_constant_charge_window(self, zeff, energy, window):
+        barrier = LaserCoulomb(0.04, zeff)
+        if isinstance(window, str):
+            x_l, x_r = barrier.turning_points(energy)
+            window = (x_l, math.nextafter(x_r, 0.0) if window == "shifted" else x_r)
+        assert barrier.closed_form(energy, *window, 1.0) is None
 
 
 class TestPanelRule:
@@ -213,10 +313,11 @@ class TestPanelRule:
             (Rectangular(1.0, 2.0), 0.5, False),
             (Triangular(1.0, 0.25, 4.0), 0.5, False),
             (Triangular(1.0, 0.25, 1.5), 0.5, True),
-            (LaserCoulomb(0.05, KULLIE), HE_ENERGY, True),
+            (LaserCoulomb(0.05, KULLIE), HE_ENERGY, False),
+            (LaserCoulomb(0.05, SAE), HE_ENERGY, True),
             (sech2_barrier(200), 0.5, True),
         ],
-        ids=["rect", "full-ramp", "truncated-ramp", "kullie", "tabulated"],
+        ids=["rect", "full-ramp", "truncated-ramp", "kullie", "sae", "tabulated"],
     )
     def test_times_report_integrates_only_without_a_closed_form(
         self, monkeypatch, barrier, energy, integrated
@@ -301,23 +402,35 @@ class TestPanelRule:
         # tau_c near 1e291 would be returned as certified
         with pytest.raises(QuadratureFailure) as failure:
             two_humps(401, 0.0, quad_tol)
-        x = float(str(failure.value).split("worst near x = ")[1].split(";")[0])
+        x = float(str(failure.value).split("near x = ")[1].split(":")[0].split(";")[0])
         assert abs(x) < 1e-6
 
-    def test_plateau_at_the_energy_is_never_certified(self):
+    def test_plateau_at_the_energy_is_never_certified(self, monkeypatch):
         # samples 7-9 of the 17-knot humps set to E make V = E on the
         # plateau [-1, 1] inside the forbidden region, so tau_c diverges.
         # Every node of the first pass's two plateau panels clamps V - E to
-        # zero, where both rules agree on m * jac / _P_FLOOR
+        # zero, where both rules agree on m * jac / _P_FLOOR: the first pass
+        # raises at once, and names the divergence rather than quad_tol
         xs = np.linspace(-8.0, 8.0, 17)
         vs = np.exp(-((xs - 2.0) ** 2)) + np.exp(-((xs + 2.0) ** 2))
         vs[7:10] = 0.25
         problem = resolve_problem(Tabulated(xs, vs), 0.25)
         wkb._panel_rule.cache_clear()
+        passes = []
+        rules = wkb._rules
+
+        def spy(*args):
+            passes.append(True)
+            return rules(*args)
+
+        monkeypatch.setattr(wkb, "_rules", spy)
         with pytest.raises(QuadratureFailure) as failure:
             times_report(problem)
-        x = float(str(failure.value).split("worst near x = ")[1].split(";")[0])
+        message = str(failure.value)
+        x = float(message.split("near x = ")[1].split(":")[0])
         assert -1.0 <= x <= 1.0
+        assert passes == [True]
+        assert "tau_c diverges" in message and "loosen quad_tol" not in message
 
     def test_truncated_ramp_graded_toward_its_root(self, no_fallback):
         # the support ends just short of the ramp root, so p stays small but
@@ -341,7 +454,7 @@ class TestPanelRule:
             return evaluate(barrier, x)
 
         monkeypatch.setattr(wkb, "eval_potential", counting)
-        compute_wkb(resolve_problem(LaserCoulomb(0.05, CLEMENTI), HE_ENERGY))
+        compute_wkb(resolve_problem(LaserCoulomb(0.05, SAE), HE_ENERGY))
         assert len(calls) == 1
 
     def test_tabulated_energy_derivative_is_classical_time(self, no_fallback):
