@@ -27,18 +27,12 @@ from .experiments import (
     write_csv,
     write_json,
 )
-from .potentials import (
-    LaserCoulomb,
-    Rectangular,
-    Triangular,
-    tabulated_from_file,
-    zeff_model,
-)
-from .times import phi_rectangular, times_report
-from .transmission import DEFAULT_SLICES, pt_numeric, pt_rectangular_exact, pt_wkb
+from .potentials import LaserCoulomb, Rectangular, Triangular, tabulated_from_file, zeff_model
+from .times import times_report
+from .transmission import DEFAULT_SLICES, pt_numeric, pt_wkb
 from .turning import resolve_problem
 from .units import angstrom_to_au, ev_to_au, to_attoseconds, to_femtoseconds
-from .wkb import QUAD_TOL_DEFAULT
+from .wkb import QUAD_TOL_DEFAULT, compute_wkb
 
 __all__ = ["main"]
 
@@ -118,7 +112,6 @@ def _build_barrier(args, parser: argparse.ArgumentParser):
         if args.file is None:
             parser.error("tabulated barrier requires --file")
         return tabulated_from_file(args.file)
-    parser.error(f"unknown barrier {kind}")
 
 
 def _emit(rows, fmt: str, output) -> None:
@@ -145,8 +138,8 @@ def cmd_times(args, parser) -> int:
     _print_kv("p_t_used", report.p_t_used)
     _print_kv("p_t_wkb", pt_wkb(report.phi))
     if report.phase_time is not None:
-        # only the rectangular barrier has phase and dwell times; its report
-        # carries the exact transmission
+        # a family with phase and dwell times in closed form has its exact
+        # transmission in the report
         _print_kv("p_t_exact", report.p_t_used)
     _print_kv("tau_c_au", report.tau_c)
     _print_kv("tau_c_as", to_attoseconds(report.tau_c))
@@ -251,11 +244,18 @@ def cmd_oracle(args, parser) -> int:
     _print_kv("p_r", result.p_r)
     _print_kv("grid_points", result.grid_points)
     _print_kv("flux_error", abs(result.p_t + result.p_r - 1.0))
-    if isinstance(barrier, Rectangular) and 0.0 < args.energy < barrier.v0:
-        phi = phi_rectangular(args.energy, barrier.v0, barrier.length, args.mass)
-        _print_kv("phi_closed_form", phi)
-        _print_kv("p_t_exact", pt_rectangular_exact(args.energy, barrier.v0, phi))
-        _print_kv("p_t_wkb", pt_wkb(phi))
+    # the exact transmission, where the family has one (it then has the
+    # phase time too), beside the WKB one
+    try:
+        problem = resolve_problem(barrier, args.energy, args.mass)
+        wkb = compute_wkb(problem)
+        p_t, _, phase, _ = barrier.transmission(problem.energy, wkb.phi, wkb.tau_c, problem.mass)
+    except TunnelTimesError:
+        return 0  # no integrals or transmission at this energy to compare
+    if phase is not None:
+        _print_kv("phi_closed_form", wkb.phi)
+        _print_kv("p_t_exact", p_t)
+        _print_kv("p_t_wkb", pt_wkb(wkb.phi))
     return 0
 
 

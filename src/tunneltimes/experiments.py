@@ -147,12 +147,11 @@ def he_scan(
     field_max: float = 0.11,
     steps: int = 15,
     models: Sequence[str] = ("sae", "kullie", "clementi"),
-    energy: float = HE_ENERGY_AU,
     omega: Optional[float] = None,
     quad_tol: float = QUAD_TOL_DEFAULT,
 ):
-    """Scan the laser field for each effective-charge model through
-    times_report.
+    """Scan the laser field at HE_ENERGY_AU for each effective-charge model
+    through times_report.
 
     Points where the energy is not below the barrier maximum are skipped
     with a logged warning rather than failing the whole scan.
@@ -173,13 +172,13 @@ def he_scan(
         for field in field_grid:
             field = float(field)
             try:
-                problem = resolve_problem(LaserCoulomb(field, zeff), energy)
+                problem = resolve_problem(LaserCoulomb(field, zeff), HE_ENERGY_AU)
             except OverBarrier as exc:
                 logger.warning("skipping model=%s field=%.6g: %s", name, field, exc)
                 continue
             report = times_report(problem, quad_tol)
             gamma = (
-                keldysh_gamma(omega, -energy, field)
+                keldysh_gamma(omega, -HE_ENERGY_AU, field)
                 if omega is not None
                 else math.nan
             )
@@ -189,7 +188,7 @@ def he_scan(
                     model=name,
                     ett_as=to_attoseconds(report.ett),
                     tau_c_as=to_attoseconds(report.tau_c),
-                    exp_width=abs(energy) / field,
+                    exp_width=abs(HE_ENERGY_AU) / field,
                     true_width=problem.width,
                     phi=report.phi,
                     keldysh_gamma=gamma,

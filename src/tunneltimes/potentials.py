@@ -14,8 +14,11 @@ choosing where V > E, or raises OverBarrier, and ``crossing`` writes V - E
 on a bracket without ``potential``'s domain checks; then ``closed_form`` and
 ``panel_edges`` for the barrier integrals, exact (any window inside a
 rectangle, a full ramp, the full window of a constant-charge Coulomb
-barrier) or by quadrature, and ``oracle_slices`` for the transfer-matrix
-oracle.
+barrier) or by quadrature; ``transmission`` for p_t, rho = exp(-2 phi)/p_t
+and the phase and dwell times (exact, times included, for a rectangle); and
+``oracle_slices`` for the transfer-matrix oracle. The base class ``Barrier``
+supplies the defaults: no closed form, no inner panel edges, and the WKB
+transmission 1/cosh^2(phi) without phase or dwell times.
 Effective-charge models are callables: ``model(x)`` is Z_eff(x), and the SAE
 peak is the zero of V', with Z_eff' from ``SaeZeff.derivative``.
 ``potential`` and the models take a float or a numpy array; a float in gives
@@ -31,6 +34,7 @@ from typing import Union
 import numpy as np
 
 from .errors import BracketFailure, DomainError, NoPeak, OverBarrier
+from .transmission import _rectangular_terms, _rho_wkb, pt_wkb
 from .turning import bracketed_root, turning_points_bracketed, turning_points_quadratic
 
 __all__ = [
@@ -224,8 +228,25 @@ def zeff_model(name: str) -> ZeffModel:
         raise DomainError(f"unknown Z_eff model {name!r}") from None
 
 
+class Barrier:
+    """The defaults every barrier family inherits."""
+
+    def closed_form(self, energy: float, x_left: float, x_right: float, mass: float):
+        """Exact (phi, tau_c) over [x_left, x_right] at energy, or None."""
+        return None
+
+    def panel_edges(self, energy: float, lo: float, hi: float):
+        """Interior x in (lo, hi) where the integrals start a new panel."""
+        return _ONE_PANEL
+
+    def transmission(self, energy: float, phi: float, tau_c: float, mass: float):
+        """(p_t, rho = exp(-2 phi)/p_t, phase time, dwell time) at action phi
+        and classical time tau_c; a time without a closed form is None."""
+        return pt_wkb(phi), _rho_wkb(phi), None, None
+
+
 @dataclass(frozen=True)
-class Rectangular:
+class Rectangular(Barrier):
     """Constant barrier of height v0 on [0, length], zero outside.
 
     v0 = 0 is allowed as the free-particle degenerate case used by the
@@ -260,10 +281,23 @@ class Rectangular:
             return math.sqrt(2.0 * mass * d) * w, w * math.sqrt(mass / (2.0 * d))
         return None
 
-    def panel_edges(self, energy: float, lo: float, hi: float):
-        """Interior x in (lo, hi) where the barrier integrals at energy start
-        a new quadrature panel; V is constant here, so there are none."""
-        return _ONE_PANEL
+    def transmission(self, energy: float, phi: float, tau_c: float, mass: float):
+        """The exact p_t, rho and the phase and dwell times of the box, from
+        one exp(-2 phi)/expm1 evaluation. s = p_t sinh(phi) cosh(phi) /
+        phi_e^2 cancels sinh*cosh growth against the p_t decay, and phi_e^2
+        against p_t ~ E, so only phi_e divides and tiny energies do not
+        underflow."""
+        v0, length = self.v0, self.length
+        p_t, em, one_minus, den = _rectangular_terms(energy, v0, phi)
+        phi_e2 = 2.0 * mass * energy * length * length
+        try:
+            rho = em + v0 * v0 * one_minus * one_minus / (16.0 * energy * (v0 - energy))
+            s = 0.5 * (v0 - energy) / (mass * length * length) * -math.expm1(-4.0 * phi) / den
+            pref = tau_c / (2.0 * phi * phi * math.sqrt(phi_e2))
+        except ZeroDivisionError:
+            raise DomainError(f"rectangular times leave the float range at E = {energy}") from None
+        head, summ = p_t * phi * (phi * phi - phi_e2), phi * phi + phi_e2
+        return p_t, rho, pref * (head + summ * summ * s), pref * (head + summ * phi_e2 * s)
 
     def turning_points(self, energy: float):
         # V - E changes sign through a jump at the support edges
@@ -278,7 +312,7 @@ class Rectangular:
 
 
 @dataclass(frozen=True)
-class Triangular:
+class Triangular(Barrier):
     """Ramp V(x) = v0 - slope*x on [0, length], zero outside."""
 
     v0: float
@@ -329,7 +363,7 @@ class Triangular:
 
 
 @dataclass(frozen=True)
-class LaserCoulomb:
+class LaserCoulomb(Barrier):
     """Field-dressed Coulomb barrier V(x) = -Z_eff(x)/x - field*x, x > 0."""
 
     field: float
@@ -471,7 +505,7 @@ def _pchip(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Tabulated:
+class Tabulated(Barrier):
     """Barrier interpolated from (x, V) samples.
 
     At least 8 finite samples with strictly increasing x are required.
@@ -563,9 +597,6 @@ class Tabulated:
         # between them, but only C^1 across them
         return self.x[np.searchsorted(self.x, lo, "right"):np.searchsorted(self.x, hi)]
 
-    def closed_form(self, energy: float, x_left: float, x_right: float, mass: float):
-        return None
-
     def turning_points(self, energy: float):
         return turning_points_bracketed(self, energy)
 
@@ -606,9 +637,6 @@ class Tabulated:
         # flat leads at the edge samples
         h, mids = _midpoints(float(self.x[0]), float(self.x[-1]), slices)
         return h, float(self.v[0]), float(self.v[-1]), self.potential(mids)
-
-
-Barrier = Union[Rectangular, Triangular, LaserCoulomb, Tabulated]
 
 
 def tabulated_from_file(path) -> Tabulated:

@@ -8,10 +8,10 @@ classical time tau_c, the action phi, and a transmission probability p_t,
 with B the bracket factor from the statistical layer. Every entry point
 evaluates it through one kernel, -(tau_c / 2 pi) * rho * B(phi), where
 rho = exp(-2 phi)/p_t is supplied by the transmission model: in log space
-for an arbitrary p_t, and in closed forms that cannot underflow for the
-WKB and exact rectangular transmissions. Phase and dwell times exist in
-closed form for the rectangular barrier only and are not invented for other
-shapes.
+for an arbitrary p_t, and otherwise by the barrier family's ``transmission``
+in a closed form that cannot underflow: exact for the rectangle, WKB for the
+rest. Phase and dwell times exist in closed form for the rectangular barrier
+only and are not invented for other shapes.
 
 Sign policy: for phi <= PHI_STAR the entropic time comes out non-positive.
 It is returned as computed, with the report's positivity flag cleared;
@@ -25,7 +25,7 @@ from typing import Optional
 from .errors import DomainError, RegimeError
 from .potentials import Rectangular, Triangular
 from .stattherm import PHI_STAR, bracket, inverse_temperature
-from .transmission import _rectangular_terms, pt_wkb
+from .transmission import _rho_wkb
 from .turning import TunnelingProblem
 from .wkb import QUAD_TOL_DEFAULT, compute_wkb
 
@@ -70,13 +70,6 @@ def _ett(tau_c: float, phi: float, rho: float) -> float:
     return ett
 
 
-def _rho_wkb(phi: float) -> float:
-    # cosh^2(phi) * exp(-2 phi) = ((1 + exp(-2 phi))/2)^2, which neither
-    # overflows nor cancels at large phi
-    q = 0.5 * (1.0 + math.exp(-2.0 * phi))
-    return q * q
-
-
 def ett_general(tau_c: float, phi: float, p_t: float) -> float:
     """Entropic tunneling time for any barrier, signed.
 
@@ -110,23 +103,7 @@ def ett_rectangular(energy: float, v0: float, length: float, mass: float = 1.0) 
     """
     phi = phi_rectangular(energy, v0, length, mass)
     tau_c = tau_c_rectangular(energy, v0, length, mass)
-    return _ett(tau_c, phi, _box_terms(energy, v0, length, mass, phi, tau_c)[1])
-
-
-def _box_terms(energy: float, v0: float, length: float, mass: float, phi: float, tau_c: float):
-    """p_t, rho = exp(-2 phi)/p_t and the phase and dwell times of the box
-    with action phi and classical time tau_c, from one exp(-2 phi)/expm1
-    evaluation. s = p_t sinh(phi) cosh(phi) / phi_e^2 cancels sinh*cosh
-    growth against the p_t decay, and phi_e^2 against p_t ~ E, so only phi_e
-    divides and tiny energies do not underflow.
-    """
-    p_t, em, one_minus, den = _rectangular_terms(energy, v0, phi)
-    rho = em + v0 * v0 * one_minus * one_minus / (16.0 * energy * (v0 - energy))
-    phi_e2 = 2.0 * mass * energy * length * length
-    s = 0.5 * (v0 - energy) / (mass * length * length) * -math.expm1(-4.0 * phi) / den
-    pref = tau_c / (2.0 * phi * phi * math.sqrt(phi_e2))
-    head, summ = p_t * phi * (phi * phi - phi_e2), phi * phi + phi_e2
-    return p_t, rho, pref * (head + summ * summ * s), pref * (head + summ * phi_e2 * s)
+    return _ett(tau_c, phi, Rectangular(v0, length).transmission(energy, phi, tau_c, mass)[1])
 
 
 def phase_time_rectangular(
@@ -144,7 +121,7 @@ def phase_time_rectangular(
     """
     phi = phi_rectangular(energy, v0, length, mass)
     tau_c = tau_c_rectangular(energy, v0, length, mass)
-    return _box_terms(energy, v0, length, mass, phi, tau_c)[2]
+    return Rectangular(v0, length).transmission(energy, phi, tau_c, mass)[2]
 
 
 def dwell_time_rectangular(
@@ -160,7 +137,7 @@ def dwell_time_rectangular(
     """
     phi = phi_rectangular(energy, v0, length, mass)
     tau_c = tau_c_rectangular(energy, v0, length, mass)
-    return _box_terms(energy, v0, length, mass, phi, tau_c)[3]
+    return Rectangular(v0, length).transmission(energy, phi, tau_c, mass)[3]
 
 
 def triangular_scalings(
@@ -197,7 +174,8 @@ def triangular_scalings(
 class TimesReport:
     """Every time definition plus its inputs, for one problem, in a.u.
 
-    phase_time and dwell_time are None unless the barrier is rectangular.
+    phase_time and dwell_time are None unless the barrier family has them
+    in closed form, as the rectangle does.
     ett is finite for any phi, including actions where p_t_used has
     underflowed to 0. kBT is signed; it is +inf at the bracket zero
     phi = PHI_STAR and once exp(2 phi) overflows (phi beyond about 354).
@@ -218,21 +196,13 @@ def times_report(
 ) -> TimesReport:
     """Compute the full set of times for a resolved problem.
 
-    The rectangular barrier uses its exact transmission (and gains phase and
-    dwell entries); every other family uses the WKB transmission. This is
+    The barrier family supplies the transmission: the rectangle its exact
+    one, with phase and dwell times, every other family the WKB one. This is
     the one evaluator behind the CLI and the helium harnesses.
     """
     quantities = compute_wkb(problem, quad_tol)
     phi, tau_c = quantities.phi, quantities.tau_c
-    energy, barrier = problem.energy, problem.barrier
-    if isinstance(barrier, Rectangular):
-        p_t, rho, phase, dwell = _box_terms(energy, barrier.v0, barrier.length,
-                                            problem.mass, phi, tau_c)
-    else:
-        p_t = pt_wkb(phi)
-        rho = _rho_wkb(phi)
-        phase = None
-        dwell = None
+    p_t, rho, phase, dwell = problem.barrier.transmission(problem.energy, phi, tau_c, problem.mass)
     inv = inverse_temperature(phi, tau_c)
     return TimesReport(
         ett=_ett(tau_c, phi, rho),

@@ -13,11 +13,14 @@ and has no propagating asymptotic state there.
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, EvanescentLead
-from .potentials import Barrier
+
+if TYPE_CHECKING:
+    from .potentials import Barrier
 
 __all__ = [
     "ScatteringResult",
@@ -74,6 +77,13 @@ def pt_wkb(phi: float) -> float:
     return 4.0 * em / ((1.0 + em) * (1.0 + em))
 
 
+def _rho_wkb(phi: float) -> float:
+    """exp(-2 phi)/pt_wkb(phi): cosh^2(phi) exp(-2 phi) = ((1 + exp(-2 phi))/2)^2,
+    which neither overflows nor cancels at large phi."""
+    q = 0.5 * (1.0 + math.exp(-2.0 * phi))
+    return q * q
+
+
 def _slice_offsets(s: np.ndarray, h: float) -> np.ndarray:
     """Offsets D = M - I of the slice propagators M, shape (2, 2, slices).
 
@@ -111,7 +121,7 @@ def _tree_product(d: np.ndarray) -> np.ndarray:
 
 
 def pt_numeric(
-    b: Barrier,
+    b: "Barrier",
     energy: float,
     mass: float = 1.0,
     slices: int = DEFAULT_SLICES,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tunneltimes.cli import main
+from tunneltimes.times import triangular_scalings
 from tunneltimes.units import angstrom_to_au, ev_to_au
 
 
@@ -102,6 +103,26 @@ class TestTimes:
         assert float(kv["x_right_au"]) == pytest.approx(20.96, abs=0.01)
         assert float(kv["tau_c_as"]) == pytest.approx(850.73, rel=0.01)
         assert "phase_time_au" not in kv
+
+    def test_full_ramp(self, capsys):
+        rc, out, _ = run_cli(
+            ["times", "--barrier", "triangular", "--v0", "1", "--slope", "0.5",
+             "--length", "3", "--energy", "0.5"],
+            capsys,
+        )
+        assert rc == 0
+        kv = parse_kv(out)
+        phi, tau_c = triangular_scalings(1.0, 0.5, 0.5, 3.0)
+        assert float(kv["phi"]) == pytest.approx(phi, rel=1e-11)
+        assert float(kv["tau_c_au"]) == pytest.approx(tau_c, rel=1e-11)
+        assert kv["p_t_used"] == kv["p_t_wkb"]
+        assert "phase_time_au" not in kv and "p_t_exact" not in kv
+
+    def test_ramp_without_slope_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["times", "--barrier", "triangular", "--v0", "1", "--length", "3",
+                  "--energy", "0.5"])
+        assert exc.value.code == 2
 
     def test_unit_flags(self, capsys):
         rc, out, _ = run_cli(
@@ -321,6 +342,40 @@ class TestOracle:
         assert p_t == pytest.approx(float(kv["p_t_exact"]), rel=1e-6)
         assert float(kv["flux_error"]) < 1e-9
         assert int(kv["grid_points"]) == 4096
+
+    @pytest.mark.parametrize("energy", ["0.5", "1e-300", "1e-318"])
+    def test_rectangle_prints_its_exact_transmission(self, capsys, energy):
+        # at 1e-318 the entropic time overflows, but phi and the exact p_t
+        # are still finite and are printed
+        rc, out, _ = run_cli(
+            ["oracle", "--barrier", "rect", "--v0", "1", "--length", "2",
+             "--energy", energy],
+            capsys,
+        )
+        assert rc == 0
+        kv = parse_kv(out)
+        assert float(kv["phi_closed_form"]) == pytest.approx(
+            2.0 * math.sqrt(2.0 * (1.0 - float(energy))), rel=1e-11)
+        assert 0.0 < float(kv["p_t_exact"]) <= float(kv["p_t_wkb"])
+
+    @pytest.mark.parametrize("barrier", [
+        ["rect", "--v0", "1", "--length", "2", "--energy", "1.5"],
+        ["triangular", "--v0", "1", "--slope", "0.5", "--length", "3", "--energy", "0.5"],
+        ["triangular", "--v0", "1", "--slope", "0.1", "--length", "2", "--energy", "0.5"],
+        "sech2",
+        # 2 m E L^2 underflows, so the box's times are out of range
+        ["rect", "--v0", "1", "--length", "1e-5", "--energy", "1e-318"],
+    ], ids=["rect-above", "full-ramp", "truncated-ramp", "sech2-table", "box-terms-underflow"])
+    def test_no_exact_transmission_to_compare(self, tmp_path, capsys, barrier):
+        if barrier == "sech2":
+            xs = np.linspace(-6.0, 6.0, 200)
+            barrier = ["tabulated", "--file", write_samples(tmp_path, xs, np.cosh(xs) ** -2),
+                       "--energy", "0.5"]
+        rc, out, _ = run_cli(["oracle", "--barrier", *barrier], capsys)
+        assert rc == 0
+        kv = parse_kv(out)
+        assert 0.0 < float(kv["p_t"]) < 1.0
+        assert not {"phi_closed_form", "p_t_exact", "p_t_wkb"} & set(kv)
 
     def test_laser_coulomb_not_offered(self):
         with pytest.raises(SystemExit) as exc:

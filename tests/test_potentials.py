@@ -314,6 +314,12 @@ class TestTabulated:
         assert np.allclose(b.v, vs)
         assert eval_potential(b, 1.5) == pytest.approx(1.5, rel=1e-12)
 
+    def test_from_file_rejects_a_third_column(self, tmp_path):
+        path = tmp_path / "barrier.dat"
+        path.write_text("\n".join(f"{x:.17g} 1.0 0.0" for x in np.linspace(0.0, 7.0, 8)))
+        with pytest.raises(DomainError, match="expected two columns"):
+            tabulated_from_file(path)
+
 
 class TestValidation:
     def test_rectangular_rejects_negative_height(self):

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from tunneltimes.errors import DomainError, RegimeError
-from tunneltimes.potentials import KULLIE, SAE, LaserCoulomb, Rectangular, Triangular
+from tunneltimes.potentials import (
+    KULLIE,
+    SAE,
+    Barrier,
+    LaserCoulomb,
+    Rectangular,
+    Tabulated,
+    Triangular,
+)
 from tunneltimes.stattherm import PHI_STAR, bracket, inverse_temperature
 from tunneltimes.times import (
     dwell_time_rectangular,
@@ -242,6 +250,28 @@ class TestTimesReport:
         assert report.p_t_used == pytest.approx(pt_wkb(report.phi), rel=1e-12)
         assert report.phase_time is None
         assert report.dwell_time is None
+
+    @pytest.mark.parametrize("barrier, energy", [
+        (Triangular(1.0, 0.5, 3.0), 0.5),
+        (Triangular(1.0, 0.1, 2.0), 0.5),
+        (LaserCoulomb(0.05, SAE), -0.904),
+        (Tabulated(np.linspace(-6.0, 6.0, 200), np.cosh(np.linspace(-6.0, 6.0, 200)) ** -2), 0.5),
+    ], ids=["full-ramp", "truncated-ramp", "sae", "sech2-table"])
+    def test_other_families_inherit_the_wkb_transmission(self, barrier, energy):
+        report = times_report(resolve_problem(barrier, energy))
+        assert isinstance(barrier, Barrier)
+        assert report.p_t_used == pt_wkb(report.phi)
+        assert report.ett == ett_he(report.tau_c, report.phi)
+        assert report.phase_time is None and report.dwell_time is None
+
+    @pytest.mark.parametrize("v0, length, energy, mass", [
+        (1.0, 1e-5, 1e-318, 1.0),  # 2 m E L^2 underflows
+        (0.01, 2.0, 5e-324, 1.0),  # 16 E (v0 - E) underflows
+        (1.0, 1e-200, 0.5, 1e-200),  # m L^2 underflows
+    ])
+    def test_box_terms_leaving_the_floats_are_a_domain_error(self, v0, length, energy, mass):
+        with pytest.raises(DomainError, match="rectangular times leave the float range"):
+            times_report(resolve_problem(Rectangular(v0, length), energy, mass))
 
     def test_kbt_inverts_inverse_temperature(self):
         report = times_report(resolve_problem(Rectangular(1.0, 2.0), 0.5))
