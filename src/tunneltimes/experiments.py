@@ -22,8 +22,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._lazynp import np
 from .errors import DomainError, OverBarrier
 from .potentials import CLEMENTI, KULLIE, SAE, LaserCoulomb, Rectangular, ZeffModel
 from .times import times_report
@@ -198,7 +197,7 @@ def he_scan(
 
 
 ET_DELTA_E_DEFAULT_EV = (0.05, 0.1, 0.2, 0.5, 1.0)
-ET_LENGTH_DEFAULT_ANGSTROM = tuple(float(x) for x in np.linspace(5.0, 30.0, 26))
+ET_LENGTH_DEFAULT_ANGSTROM = tuple(5.0 + i for i in range(26))
 ET_FLAG_THRESHOLD_FS = 5.0
 
 

@@ -21,18 +21,21 @@ supplies the defaults: no closed form, no inner panel edges, and the WKB
 transmission 1/cosh^2(phi) without phase or dwell times.
 Effective-charge models are callables: ``model(x)`` is Z_eff(x), and the SAE
 peak is the zero of V', with Z_eff' from ``SaeZeff.derivative``.
-``potential`` and the models take a float or a numpy array; a float in gives
-a float out, and NaN raises ``DomainError``. Each constructor checks its own
-fields with comparisons that NaN and inf fail.
+``potential`` and the models take a float, an int or a numpy array; a
+scalar or a 0-d array in gives a float out, and NaN raises ``DomainError``.
+Each constructor checks its own fields with comparisons that NaN and inf
+fail.
 """
 
+from __future__ import annotations
+
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
+from ._lazynp import np
 from .errors import BracketFailure, DomainError, NoPeak, OverBarrier
 from .transmission import _rectangular_terms, _rho_wkb, pt_wkb
 from .turning import bracketed_root, turning_points_bracketed, turning_points_quadratic
@@ -72,22 +75,27 @@ def _check_tunneling(energy: float, v0: float) -> None:
 
 def _all(mask) -> bool:
     """Whether every element of a scalar or array comparison is true."""
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+    return bool(mask) if isinstance(mask, bool) else bool(mask.all())
 
 
 def _check_not_nan(x) -> None:
     """Reject a NaN position, scalar or anywhere in an array."""
-    if np.isnan(x).any() if isinstance(x, np.ndarray) else x != x:
+    if x != x if isinstance(x, (float, int)) else np.isnan(x).any():
         raise DomainError("potential evaluated at NaN")
 
 
 def _float_or_array(v):
     """A 0-d result as a float; arrays pass through."""
-    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
+    return v if getattr(v, "ndim", 0) else float(v)
 
 
-_ONE_PANEL = np.empty(0)
-_POWERS_OF_TWO = 2.0 ** np.arange(1, 64)
+_ONE_PANEL = ()
+
+
+@functools.cache
+def _powers_of_two():
+    """2, 4, ..., 2^63, built at the first call rather than at import."""
+    return 2.0 ** np.arange(1, 64)
 
 
 def _doubling(d: float, span: float):
@@ -98,7 +106,7 @@ def _doubling(d: float, span: float):
     a fixed-order rule converges on each however close it is; the last panel
     is at least as long as the one before it.
     """
-    r = d * _POWERS_OF_TWO
+    r = d * _powers_of_two()
     return r[r <= 0.5 * (span + d)] - d
 
 
@@ -190,7 +198,7 @@ class SaeZeff:
 
     def __call__(self, x):
         # math.exp keeps the scalar calls of the root and peak searches cheap
-        exp = np.exp if isinstance(x, np.ndarray) else math.exp
+        exp = math.exp if isinstance(x, (float, int)) else np.exp
         return (
             self.Z
             + self.a1 * exp(-self.a2 * x)
@@ -548,7 +556,7 @@ class Tabulated(Barrier):
 
     def potential(self, x):
         knots = self._knots
-        if not isinstance(x, np.ndarray):
+        if isinstance(x, (float, int)):
             # written so that NaN fails the test
             if not knots[0] <= x <= knots[-1]:
                 raise self._outside(x)

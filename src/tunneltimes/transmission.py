@@ -11,12 +11,13 @@ offered for the laser-Coulomb potential, which is unbounded below downfield
 and has no propagating asymptotic state there.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._lazynp import np
 from .errors import DomainError, EvanescentLead
 
 if TYPE_CHECKING:

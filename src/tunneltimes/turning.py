@@ -120,7 +120,7 @@ def turning_points_quadratic(z: float, energy: float, field: float):
     DomainError
         A nonpositive charge or field, an energy that is not negative and
         finite, or roots that leave the floating-point range: x_L
-        underflowing to 0, or x_R or the discriminant overflowing.
+        underflowing to 0, or x_R overflowing.
     OverBarrier
         Discriminant <= 0: the energy is at or above the barrier maximum
         -2*sqrt(z*field), so no forbidden region exists.
@@ -132,15 +132,20 @@ def turning_points_quadratic(z: float, energy: float, field: float):
     if not -math.inf < energy < 0.0:
         raise DomainError(f"energy must be negative and finite, got {energy}")
     abs_e = -energy
-    disc = abs_e * abs_e - 4.0 * z * field
+    # |E|, z and field times a power of two c, which is exact: 1 unless |E|^2
+    # could leave the floats, else about 1/|E|. Then 4 z field c^2 past the
+    # floats, -inf in disc, means over the barrier
+    c = 1.0 if 1e-100 < abs_e < 1e100 else math.ldexp(1.0, min(1023, -math.frexp(abs_e)[1]))
+    e, zc, fc = abs_e * c, z * c, field * c
+    disc = e * e - 4.0 * zc * fc
     if disc <= 0.0:
         raise OverBarrier(
             f"E = {energy} is not below the barrier maximum {-2.0 * math.sqrt(z * field):.6g}"
         )
-    s = math.sqrt(disc)
-    # x_L x_R = z/field gives the smaller root without the cancellation of
-    # |E| - s in weak fields
-    x_l, x_r = 2.0 * z / (abs_e + s), (abs_e + s) / (2.0 * field)
+    # h = (|E| + s)/2 with s the root of the discriminant; x_L x_R = z/field
+    # gives the smaller root without the cancellation of |E| - s in weak fields
+    h = 0.5 * abs_e + 0.5 * math.sqrt(disc) / c
+    x_l, x_r = z / h, h / field
     if not (0.0 < x_l and x_r < math.inf):
         raise DomainError(
             f"turning points at E = {energy}, field {field}, z {z} leave the floating-point "

@@ -29,12 +29,13 @@ passes (Piessens et al., QUADPACK (1983); Gander & Gautschi, BIT 40, 84
 (2000)) or a fixed panel budget is spent and QuadratureFailure is raised.
 """
 
+from __future__ import annotations
+
 import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazynp import np
 from .errors import DomainError, QuadratureFailure, SingularityError
 from .potentials import eval_potential
 from .turning import TunnelingProblem, resolve_problem
@@ -139,7 +140,7 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
     """
     x_l, w = problem.x_left, problem.width
     inner = problem.barrier.panel_edges(problem.energy, x_l, problem.x_right)
-    edges = np.empty(inner.size + 2)
+    edges = np.empty(len(inner) + 2)
     edges[0], edges[-1] = 0.0, 1.0
     np.subtract(inner, x_l, out=edges[1:-1])
     edges[1:-1] /= w

@@ -131,6 +131,28 @@ class TestVectorizedPotential:
         np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
         assert barrier.potential(xs.reshape(13, 1)).shape == (13, 1)
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            Rectangular(1.0, 2.0).potential,
+            Triangular(1.0, 0.25, 4.0).potential,
+            LaserCoulomb(0.04, KULLIE).potential,
+            LaserCoulomb(0.04, SAE).potential,
+            _sech2(50).potential,
+            SAE,
+        ],
+        ids=["rect", "triangular", "kullie", "sae", "tabulated", "sae-zeff"],
+    )
+    @pytest.mark.parametrize("scalar", [int, np.float64, lambda x: np.array(float(x))],
+                             ids=["int", "float64", "0-d"])
+    @pytest.mark.parametrize("x", [1, 3])
+    def test_other_scalars_give_the_float_result(self, evaluate, scalar, x):
+        # a Python int, a numpy float64 and a 0-d array each come back as a
+        # float, bit-equal to the result at the Python float
+        value = evaluate(scalar(x))
+        assert isinstance(value, float)
+        assert value == evaluate(float(x))
+
     @pytest.mark.parametrize("model", [SAE, KULLIE])
     def test_zeff_scalar_and_array_agree(self, model):
         xs = np.linspace(0.0, 40.0, 9)

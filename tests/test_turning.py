@@ -153,6 +153,13 @@ class TestQuadratic:
         with pytest.raises(DomainError, match="floating-point range"):
             turning_points_quadratic(z, energy, field)
 
+    def test_discriminant_past_the_floats_keeps_ordinary_roots(self):
+        # E^2 = 1e600 and 4 z field = 4e400 overflow, yet the roots z/|E| and
+        # |E|/field are ordinary floats
+        x_l, x_r = turning_points_quadratic(1e200, -1e300, 1e200)
+        assert x_l == pytest.approx(1e-100, rel=1e-15, abs=0.0)
+        assert x_r == pytest.approx(1e100, rel=1e-15, abs=0.0)
+
     def test_gap_shrinks_as_energy_rises(self):
         energies = [-1.2, -1.0, -0.904, -0.7, -0.5]
         widths = [
