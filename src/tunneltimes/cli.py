@@ -32,7 +32,7 @@ from .times import times_report
 from .transmission import DEFAULT_SLICES, pt_numeric, pt_wkb
 from .turning import resolve_problem
 from .units import angstrom_to_au, ev_to_au, to_attoseconds, to_femtoseconds
-from .wkb import QUAD_TOL_DEFAULT, compute_wkb
+from .wkb import QUAD_TOL_DEFAULT
 
 __all__ = ["main"]
 
@@ -245,17 +245,20 @@ def cmd_oracle(args, parser) -> int:
     _print_kv("grid_points", result.grid_points)
     _print_kv("flux_error", abs(result.p_t + result.p_r - 1.0))
     # the exact transmission, where the family has one (it then has the
-    # phase time too), beside the WKB one
+    # phase time too, and closed-form integrals), beside the WKB one
     try:
         problem = resolve_problem(barrier, args.energy, args.mass)
-        wkb = compute_wkb(problem)
-        p_t, _, phase, _ = barrier.transmission(problem.energy, wkb.phi, wkb.tau_c, problem.mass)
+        exact = barrier.closed_form(problem.energy, problem.x_left, problem.x_right, problem.mass)
+        if exact is None:
+            return 0
+        phi, tau_c = exact
+        p_t, _, phase, _ = barrier.transmission(problem.energy, phi, tau_c, problem.mass)
     except TunnelTimesError:
         return 0  # no integrals or transmission at this energy to compare
     if phase is not None:
-        _print_kv("phi_closed_form", wkb.phi)
+        _print_kv("phi_closed_form", phi)
         _print_kv("p_t_exact", p_t)
-        _print_kv("p_t_wkb", pt_wkb(wkb.phi))
+        _print_kv("p_t_wkb", pt_wkb(phi))
     return 0
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
-from ._lazynp import np
 from .errors import DomainError, OverBarrier
 from .potentials import CLEMENTI, KULLIE, SAE, LaserCoulomb, Rectangular, ZeffModel
 from .times import times_report
@@ -164,12 +163,12 @@ def he_scan(
     unknown = [m for m in models if m not in HE_MODELS]
     if unknown:
         raise DomainError(f"unknown models {unknown}; choose from {sorted(HE_MODELS)}")
-    field_grid = np.linspace(field_min, field_max, steps)
+    step = (field_max - field_min) / (steps - 1)
+    field_grid = [field_min + i * step for i in range(steps - 1)] + [float(field_max)]
     points = []
     for name in models:
         zeff = HE_MODELS[name]
         for field in field_grid:
-            field = float(field)
             try:
                 problem = resolve_problem(LaserCoulomb(field, zeff), HE_ENERGY_AU)
             except OverBarrier as exc:

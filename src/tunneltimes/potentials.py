@@ -8,13 +8,13 @@ immutable value; evaluation is pure. Each family owns its facts: V(x) as
 in closed form where the family has one (the support edges of a rectangle,
 the edge and linear root of a ramp, the quadratic of a constant Z_eff),
 otherwise by a bracketed root solve that reaches the barrier through
-``potential``, ``root_brackets`` and ``crossing``: ``root_brackets(energy)``
-walks out to one bracket per turning point from a point of the family's
-choosing where V > E, or raises OverBarrier, and ``crossing`` writes V - E
-on a bracket without ``potential``'s domain checks; then ``closed_form`` and
-``panel_edges`` for the barrier integrals, exact (any window inside a
-rectangle, a full ramp, the full window of a constant-charge Coulomb
-barrier) or by quadrature; ``transmission`` for p_t, rho = exp(-2 phi)/p_t
+``potential`` and ``root_brackets(energy)``, which walks out to one bracket
+per turning point from a point of the family's choosing where V > E, or
+raises OverBarrier, and returns each as (f, lo, hi), f being V - E as the
+family writes it on that bracket, without ``potential``'s domain checks;
+then ``closed_form`` and ``panel_edges`` for the barrier integrals, exact
+(any window inside a rectangle, a full ramp, the full window of a
+constant-charge Coulomb barrier) or by quadrature; ``transmission`` for p_t, rho = exp(-2 phi)/p_t
 and the phase and dwell times (exact, times included, for a rectangle); and
 ``oracle_slices`` for the transfer-matrix oracle. The base class ``Barrier``
 supplies the defaults: no closed form, no inner panel edges, and the WKB
@@ -76,6 +76,11 @@ def _check_tunneling(energy: float, v0: float) -> None:
 def _all(mask) -> bool:
     """Whether every element of a scalar or array comparison is true."""
     return bool(mask) if isinstance(mask, bool) else bool(mask.all())
+
+
+def _least(v):
+    """The smallest element of an array, or a scalar itself, for a message."""
+    return v if isinstance(v, (float, int)) else np.min(v)
 
 
 def _check_not_nan(x) -> None:
@@ -387,11 +392,11 @@ class LaserCoulomb(Barrier):
         # written so that NaN fails the test
         if not _all(x > 0.0):
             raise DomainError(
-                f"laser-Coulomb barrier is defined for x > 0, got {np.min(x)}"
+                f"laser-Coulomb barrier is defined for x > 0, got {_least(x)}"
             )
         z = self.zeff(x)
         if not _all(z > 0.0):
-            raise DomainError(f"Z_eff = {np.min(z)} is not positive")
+            raise DomainError(f"Z_eff = {_least(z)} is not positive")
         return -z / x - self.field * x
 
     def peak(self):
@@ -447,28 +452,21 @@ class LaserCoulomb(Barrier):
             return turning_points_quadratic(self.zeff.z, energy, self.field)
         return turning_points_bracketed(self, energy)
 
-    def _v_minus_e(self, energy: float):
-        # V - E at a float x > 0 without potential's domain checks; the
-        # residual check of turning_points_bracketed goes through potential
-        zeff, field = self.zeff, self.field
-        return lambda x: -zeff(x) / x - field * x - energy
-
     def root_brackets(self, energy: float):
         # split where V > E: first at sqrt(Z/F), the constant-charge peak
-        # with Z taken at 1/sqrt(F), else at the peak itself
-        f = self._v_minus_e(energy)
-        z = self.zeff(1.0 / math.sqrt(self.field))
-        x = math.sqrt(z / self.field) if 0.0 < z < math.inf else math.nan
+        # with Z taken at 1/sqrt(F), else at the peak itself. f is V - E at
+        # a float x > 0 without potential's domain checks; the residual check
+        # of turning_points_bracketed goes through potential
+        zeff, field = self.zeff, self.field
+        f = lambda x: -zeff(x) / x - field * x - energy
+        z = zeff(1.0 / math.sqrt(field))
+        x = math.sqrt(z / field) if 0.0 < z < math.inf else math.nan
         if not (x > 0.0 and f(x) > 0.0):
             x, v_max = self.peak()
             _check_below(energy, v_max)
         # V -> -inf as x -> 0+, and as x -> +inf under the field term, so
         # halving (doubling) away from the split must find V < E
-        return _walk_down(f, x, 0.5), _walk_down(f, x, 2.0)
-
-    def crossing(self, energy: float, lo: float, hi: float) -> float:
-        """The x in [lo, hi], a bracket from root_brackets, where V(x) = E."""
-        return bracketed_root(self._v_minus_e(energy), lo, hi)
+        return (f, *_walk_down(f, x, 0.5)), (f, *_walk_down(f, x, 2.0))
 
     def oracle_slices(self, slices: int):
         raise DomainError(
@@ -610,7 +608,7 @@ class Tabulated(Barrier):
 
     def root_brackets(self, energy: float):
         # monotone knot intervals: walking out from the peak sample, the
-        # first sample below E closes the one interval that holds the crossing
+        # first sample below E closes the one interval of the turning point
         _check_below(energy, self.peak()[1])
         knots, v, top = self._knots, self._samples, self._top
         j = top - 1
@@ -623,23 +621,23 @@ class Tabulated(Barrier):
             raise BracketFailure(
                 "tabulated potential does not drop below E on both sides of the peak"
             )
-        return (knots[j], knots[j + 1]), (knots[k - 1], knots[k])
 
-    def crossing(self, energy: float, lo: float, hi: float) -> float:
-        # V - E on the knot interval [lo, hi] is its one cubic in t = x - lo,
-        # and at hi the sample itself: what potential gives, without the
-        # range check and the interval search
-        j = bisect_right(self._knots, lo) - 1
-        c0, c1, c2, c3 = self._rows[j]
-        v_hi = self._rows[j + 1][0]
+        def bracket(i):
+            # V - E on knot interval i is its one cubic in t = x - x_i, and at
+            # x_(i+1) the sample itself: what potential gives, without the
+            # range check and the interval search
+            lo, hi, v_hi = knots[i], knots[i + 1], v[i + 1]
+            c0, c1, c2, c3 = self._rows[i]
 
-        def f(x):
-            if x == hi:
-                return v_hi - energy
-            t = x - lo
-            return ((c3 * t + c2) * t + c1) * t + c0 - energy
+            def f(x):
+                if x == hi:
+                    return v_hi - energy
+                t = x - lo
+                return ((c3 * t + c2) * t + c1) * t + c0 - energy
 
-        return bracketed_root(f, lo, hi)
+            return f, lo, hi
+
+        return bracket(j), bracket(k - 1)
 
     def oracle_slices(self, slices: int):
         # flat leads at the edge samples

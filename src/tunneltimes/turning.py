@@ -5,12 +5,12 @@ turning points have a closed form returns them itself (the support edges of
 a rectangle, the edge and linear root of a ramp, the quadratic roots of a
 constant effective charge, here as ``turning_points_quadratic``); every
 other family goes through ``turning_points_bracketed``, which sees a barrier
-only through its ``potential``, ``root_brackets`` and ``crossing``. The
-family's ``root_brackets`` finds its own point where V > E, or raises
-OverBarrier when there is none, and returns one bracket on each side of it;
-``crossing`` solves V - E, as the family writes it on that bracket (for a
-tabulated barrier, the one cubic of the knot interval), by one
-``bracketed_root`` solve. ``bracketed_root`` is the package's one root solver:
+only through its ``potential`` and ``root_brackets``. The family's
+``root_brackets`` finds its own point where V > E, or raises OverBarrier
+when there is none, and returns one bracket (f, lo, hi) on each side of it,
+f being V - E as the family writes it on that bracket (for a tabulated
+barrier, the one cubic of the knot interval); each is solved by one
+``bracketed_root`` call. ``bracketed_root`` is the package's one root solver:
 Chandrupatla's derivative-free hybrid of inverse quadratic interpolation and
 bisection (Adv. Eng. Softw. 28, 145 (1997)), which also finds the SAE peak,
 PHI_STAR and the entropy maximum.
@@ -158,10 +158,11 @@ def turning_points_bracketed(b: "Barrier", energy: float):
     """Turning points by a bracketed root solve of V(x) - E = 0 on each
     side of a point where V > E.
 
-    The barrier's ``root_brackets`` gives one interval per turning point,
-    with V - E changing sign across it, and its ``crossing`` solves for the
-    root there; each root must meet |V(x) - E| <= ROOT_TOL through
-    ``potential``, whose domain checks the two solves skip.
+    The barrier's ``root_brackets`` gives one (f, lo, hi) per turning
+    point, f being V - E on [lo, hi] with a sign change across it, and
+    ``bracketed_root`` solves f there; each root must meet
+    |V(x) - E| <= ROOT_TOL through ``potential``, whose domain checks f
+    skips.
 
     Raises
     ------
@@ -178,8 +179,8 @@ def turning_points_bracketed(b: "Barrier", energy: float):
     if not math.isfinite(energy):
         raise DomainError(f"energy must be finite, got {energy}")
     roots = []
-    for lo, hi in b.root_brackets(energy):
-        root = b.crossing(energy, lo, hi)
+    for f, lo, hi in b.root_brackets(energy):
+        root = bracketed_root(f, lo, hi)
         if abs(b.potential(root) - energy) > ROOT_TOL:
             raise NoConvergence(f"root residual at x = {root} exceeds {ROOT_TOL:g}")
         roots.append(root)

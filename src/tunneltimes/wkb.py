@@ -22,8 +22,9 @@ each interval but only C^1 across knots; panels that double in length away
 from the pole at x = 0 of the laser-Coulomb barrier or the root of a
 triangular ramp cut short by its support; a single panel otherwise. Each panel
 is evaluated at n and 2n nodes, and the 2n results are accepted when, for
-both integrals, the summed per-panel differences stay within quad_tol of
-them. Otherwise each panel whose difference exceeds its share of that
+both integrals, the sum is finite and the summed per-panel differences stay
+within quad_tol of it. That one test is made after the first pass and after
+every bisection: each panel whose difference exceeds its share of the
 budget is bisected, and only the new halves are evaluated, until the test
 passes (Piessens et al., QUADPACK (1983); Gander & Gautschi, BIT 40, 84
 (2000)) or a fixed panel budget is spent and QuadratureFailure is raised.
@@ -132,11 +133,14 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
 
     Each value is the 2n-node sum over the panels, and its error estimate is
     |Q_2n - Q_n| summed over the panels, so panel errors cannot cancel in
-    it; if either misses quad_tol, _refine bisects panels. A panel whose
-    every node has V - E clamped to zero (V = E on a plateau inside the
-    forbidden region, where tau_c diverges) raises at once. The last
-    result is kept, so that classical_time right after action_phi (as in
-    compute_wkb) evaluates the potential no second time.
+    it. Until both estimates meet quad_tol and both sums are finite, each
+    panel whose |Q_2n - Q_n| exceeds its share of the budget, its fraction
+    of the theta range, is bisected, and only the new halves are evaluated.
+    A new half with a clamped node (p = 0, where both rules would agree on
+    nonsense) never converges, and a panel clamped at every node (V = E on a
+    plateau inside the forbidden region, where tau_c diverges) raises at
+    once. The last result is kept, so that classical_time right after
+    action_phi (as in compute_wkb) evaluates the potential no second time.
     """
     x_l, w = problem.x_left, problem.width
     inner = problem.barrier.panel_edges(problem.energy, x_l, problem.x_right)
@@ -145,17 +149,42 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
     np.subtract(inner, x_l, out=edges[1:-1])
     edges[1:-1] /= w
     np.arcsin(np.sqrt(edges, out=edges), out=edges)
-    lo, span = edges[:-1, None], (edges[1:] - edges[:-1])[:, None]
-    q, clamped = _rules(problem, lo, span)
+    lo, span = edges[:-1], edges[1:] - edges[:-1]
+    q, clamped = _rules(problem, lo[:, None], span[:, None])
     if clamped is not None:
-        _check_not_plateau(problem, lo[:, 0], span[:, 0], clamped)
+        _check_not_plateau(problem, lo, span, clamped)
     value, error = q[..., 1], np.abs(q[..., 1] - q[..., 0])
-    (phi, tau_c), (e_phi, e_tau_c) = value.sum(axis=1).tolist(), error.sum(axis=1).tolist()
-    # both integrands are built from the same p(x), and tau_c's is the more
-    # singular: its convergence is the sharper test that the nodes resolve p
-    if e_phi <= quad_tol * abs(phi) and e_tau_c <= quad_tol * abs(tau_c):
-        return phi, tau_c
-    return _refine(problem, quad_tol, lo[:, 0], span[:, 0], value, error)
+    limit = lo.size + _PANEL_BUDGET
+    while True:
+        total = value.sum(axis=1)
+        (phi, tau_c), (e_phi, e_tau_c) = total.tolist(), error.sum(axis=1).tolist()
+        # both integrands are built from the same p(x), and tau_c's is the more
+        # singular: its convergence is the sharper test that the nodes resolve p
+        if (e_phi <= quad_tol * abs(phi) and e_tau_c <= quad_tol * abs(tau_c)
+                and math.isfinite(phi) and math.isfinite(tau_c)):
+            return phi, tau_c
+        excess = error / (quad_tol * np.abs(total))[:, None]  # in units of the budget
+        worst = np.argmax(excess.max(axis=0))
+        split = (excess > span / (0.5 * math.pi)).any(axis=0)
+        split[worst] = True  # progress even where rounding hides the excess
+        if lo.size + np.count_nonzero(split) > limit:
+            x = x_l + w * math.sin(lo[worst] + 0.5 * span[worst]) ** 2
+            raise QuadratureFailure(
+                f"achieved relative error {quad_tol * excess.sum(axis=1).max():.3g} exceeds "
+                f"quad_tol {quad_tol:g} within {_PANEL_BUDGET} bisections, worst near x = {x:.6g}; "
+                "loosen quad_tol, or look for a point inside the forbidden region where V(x) "
+                "nearly touches E"
+            )
+        keep, half = ~split, 0.5 * span[split]
+        new_lo, new_span = np.concatenate((lo[split], lo[split] + half)), np.tile(half, 2)
+        q, clamped = _rules(problem, new_lo[:, None], new_span[:, None])
+        new_error = np.abs(q[..., 1] - q[..., 0])
+        if clamped is not None:
+            _check_not_plateau(problem, new_lo, new_span, clamped)
+            new_error[:, clamped.any(axis=1)] = math.inf
+        lo, span = np.concatenate((lo[keep], new_lo)), np.concatenate((span[keep], new_span))
+        value = np.concatenate((value[:, keep], q[..., 1]), axis=1)
+        error = np.concatenate((error[:, keep], new_error), axis=1)
 
 
 def _check_not_plateau(problem: TunnelingProblem, lo, span, clamped) -> None:
@@ -170,41 +199,6 @@ def _check_not_plateau(problem: TunnelingProblem, lo, span, clamped) -> None:
             f"V(x) - E is zero at every node of a panel near x = {x:.6g}: V = E there "
             "inside the forbidden region, so tau_c diverges"
         )
-
-
-def _refine(problem: TunnelingProblem, quad_tol: float, lo, span, value, error):
-    """Bisect each panel whose |Q_2n - Q_n| exceeds its share of the budget,
-    its fraction of the theta range, and evaluate only the new halves, until
-    both sums meet quad_tol. A new half with a clamped node (p = 0, where both
-    rules would agree on nonsense) never converges, and one clamped at every
-    node raises at once."""
-    limit = lo.size + _PANEL_BUDGET
-    while True:
-        total = value.sum(axis=1)
-        excess = error / (quad_tol * np.abs(total))[:, None]  # in units of the budget
-        if (excess.sum(axis=1) <= 1.0).all() and np.isfinite(total).all():
-            return tuple(total.tolist())
-        worst = np.argmax(excess.max(axis=0))
-        split = (excess > span / (0.5 * math.pi)).any(axis=0)
-        split[worst] = True  # progress even where rounding hides the excess
-        if lo.size + np.count_nonzero(split) > limit:
-            x = problem.x_left + problem.width * math.sin(lo[worst] + 0.5 * span[worst]) ** 2
-            raise QuadratureFailure(
-                f"achieved relative error {quad_tol * excess.sum(axis=1).max():.3g} exceeds "
-                f"quad_tol {quad_tol:g} within {_PANEL_BUDGET} bisections, worst near x = {x:.6g}; "
-                "loosen quad_tol, or look for a point inside the forbidden region where V(x) "
-                "nearly touches E"
-            )
-        keep, half = ~split, 0.5 * span[split]
-        new_lo, new_span = np.concatenate((lo[split], lo[split] + half)), np.tile(half, 2)
-        new_q, clamped = _rules(problem, new_lo[:, None], new_span[:, None])
-        new_error = np.abs(new_q[..., 1] - new_q[..., 0])
-        if clamped is not None:
-            _check_not_plateau(problem, new_lo, new_span, clamped)
-            new_error[:, clamped.any(axis=1)] = math.inf
-        lo, span = np.concatenate((lo[keep], new_lo)), np.concatenate((span[keep], new_span))
-        value = np.concatenate((value[:, keep], new_q[..., 1]), axis=1)
-        error = np.concatenate((error[:, keep], new_error), axis=1)
 
 
 def _integrate(problem: TunnelingProblem, want_time: bool, quad_tol: float) -> float:

@@ -10,7 +10,8 @@ something imports it. A second interpreter runs the same steps with an import
 hook that refuses every scipy module: each command still succeeds, and only
 the last step fails to import.
 
-The closed-form steps come first, and numpy stays unloaded through them.
+The closed-form steps come first, and numpy stays unloaded through them; so
+it does, in an interpreter of its own, through a scalar ``DomainError``.
 Each command that builds an array runs once more in an interpreter of its
 own, which shows that it loads numpy itself and still succeeds. Three more
 interpreters check the lazy module: a later ``import numpy`` returns it, an
@@ -36,6 +37,7 @@ STEPS = {
     "laser-kullie": ["times", "--barrier", "laser-coulomb", "--field", "0.05",
                      "--zeff", "kullie", "--energy", "-0.904"],
     "et-scan": ["et-scan", "--length-steps", "6"],
+    "he-scan-closed": ["he-scan", "--models", "kullie,clementi", "--steps", "3"],
     "laser-sae": ["times", "--barrier", "laser-coulomb", "--field", "0.05",
                   "--zeff", "sae", "--energy", "-0.904"],
     "triangular-truncated": ["times", "--barrier", "triangular", "--v0", "1", "--slope", "0.25",
@@ -80,6 +82,19 @@ except ImportError:
     status = 1
 report["control"] = {"status": status, **loaded()}
 print(json.dumps(report))
+"""
+
+# a scalar outside the laser-Coulomb domain names itself without numpy
+SCALAR_DOMAIN_ERROR = """
+import sys
+from tunneltimes.errors import DomainError
+from tunneltimes.potentials import KULLIE, LaserCoulomb
+try:
+    LaserCoulomb(0.05, KULLIE).potential(-1.0)
+    raise AssertionError("no DomainError raised")
+except DomainError as exc:
+    assert str(exc) == "laser-Coulomb barrier is defined for x > 0, got -1.0", exc
+assert "numpy._core" not in sys.modules
 """
 
 # a user's numpy after the package's lazy one, and before it
@@ -169,7 +184,7 @@ def refused(steps):
 
 
 ALL_STEPS = ["import", *STEPS, "tabulated", "humps"]
-CLOSED_FORM_STEPS = ["import", "rect", "triangular", "laser-kullie", "et-scan"]
+CLOSED_FORM_STEPS = ["import", "rect", "triangular", "laser-kullie", "et-scan", "he-scan-closed"]
 ARRAY_STEPS = ["laser-sae", "triangular-truncated", "tabulated", "table1", "he-scan", "oracle"]
 
 
@@ -192,6 +207,10 @@ def test_array_paths_load_numpy_themselves(steps, step):
     alone = run_probe({step: steps[step]}, "alone")
     assert alone["import"]["numpy"] is False
     assert alone[step] == {"status": 0, "scipy": [], "numpy": True}
+
+
+def test_scalar_domain_error_loads_no_numpy():
+    run_python(SCALAR_DOMAIN_ERROR)
 
 
 def test_lazy_numpy_is_the_users_numpy():

@@ -199,7 +199,7 @@ class TestTabulatedPeakAndBrackets:
     def test_brackets_are_the_crossing_knot_intervals(self):
         b = _sech2(101)
         energy = 0.3
-        for (lo, hi), rising in zip(b.root_brackets(energy), (True, False)):
+        for (_, lo, hi), rising in zip(b.root_brackets(energy), (True, False)):
             i = int(np.searchsorted(b.x, lo))
             assert (b.x[i], b.x[i + 1]) == (lo, hi)
             below, above = (lo, hi) if rising else (hi, lo)

@@ -274,7 +274,7 @@ class TestSaeBrackets:
         if energy == "near peak":
             energy = b.peak()[1] * (1.0 + 1e-8)
         brackets = b.root_brackets(energy)
-        for (lo, hi), root in zip(brackets, b.turning_points(energy)):
+        for (_, lo, hi), root in zip(brackets, b.turning_points(energy)):
             assert 0.0 < lo <= root <= hi <= 2.0 * lo
             assert (b.potential(lo) < energy) != (b.potential(hi) < energy)
 

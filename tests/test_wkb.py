@@ -36,16 +36,35 @@ from quadref import mapped_quad
 HE_ENERGY = -0.904
 
 
-@pytest.fixture
-def no_fallback(monkeypatch):
-    """Fail the test if any panel of the family's own panel rule is
-    bisected; the kept result is dropped, so every problem is evaluated."""
+def count_rules(monkeypatch):
+    """Count the _rules passes of the panel rule into the list returned;
+    the kept result is dropped, so every problem is evaluated."""
+    passes = []
+    rules = wkb._rules
 
-    def fail(*args):
-        raise AssertionError("panel bisected")
+    def spy(*args):
+        passes.append(True)
+        return rules(*args)
 
     wkb._panel_rule.cache_clear()
-    monkeypatch.setattr(wkb, "_refine", fail)
+    monkeypatch.setattr(wkb, "_rules", spy)
+    return passes
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    """Fail the test if any call of the family's own panel rule takes more
+    than its first _rules pass, that is, bisects a panel."""
+    passes, panel = count_rules(monkeypatch), wkb._panel_rule
+
+    def one_pass(*args):
+        passes.clear()
+        result = panel(*args)
+        if len(passes) > 1:
+            raise AssertionError("panel bisected")
+        return result
+
+    monkeypatch.setattr(wkb, "_panel_rule", one_pass)
 
 
 def sech2_barrier(knots, v0=1.0, a=1.0, span=10.0):
@@ -373,17 +392,9 @@ class TestPanelRule:
         # vanishes there, the n- and 2n-node rules disagree on tau_c, and
         # bisecting the panels certifies both integrals. The reference is a
         # 30-digit mpmath integral of the same PCHIP over every knot interval
-        refined = []
-        refine = wkb._refine
-
-        def spy(*args):
-            refined.append(True)
-            return refine(*args)
-
-        monkeypatch.setattr(wkb, "_refine", spy)
-        wkb._panel_rule.cache_clear()
+        passes = count_rules(monkeypatch)
         phi, tau_c = two_humps(101, 1e-6, quad_tol)
-        assert refined == [True]
+        assert len(passes) > 1
         assert phi == pytest.approx(6.223712901447394, rel=quad_tol)
         assert tau_c == pytest.approx(26.68673599759373, rel=quad_tol)
 
