@@ -16,7 +16,9 @@ A barrier family that knows both integrals in closed form for the window
 or the full window of a constant-charge Coulomb barrier, by complete
 elliptic integrals) gives them exactly. Every other window is integrated by
 fixed-order Gauss-Legendre panels on the mapped variable, with one potential
-evaluation at all nodes serving both integrals. The barrier's ``panel_edges`` set the panels: one per
+evaluation at all nodes serving both integrals. Both come from one call, kept
+for the last problem object, so classical_time after action_phi is a lookup.
+The barrier's ``panel_edges`` set the panels: one per
 knot interval for a tabulated barrier, whose PCHIP interpolant is a cubic on
 each interval but only C^1 across knots; panels that double in length away
 from the pole at x = 0 of the laser-Coulomb barrier or the root of a
@@ -90,8 +92,8 @@ def _rules(problem: TunnelingProblem, lo: np.ndarray, span: np.ndarray):
     """phi and tau_c on the theta panels [lo, lo + span] (column vectors) by
     the n- and 2n-node rules, shape (integral, panel, rule), and the mask of
     nodes whose V - E was clamped to zero, or None where no node was:
-    root-tolerance slop in V - E at the turning points is clamped, a deeper
-    dip raises."""
+    root-tolerance slop in V - E at the turning points is clamped; a deeper
+    dip, or a panel clamped at every node, raises."""
     x_l, w, m = problem.x_left, problem.width, problem.mass
     nodes, weights = _gauss_legendre_pair(_ORDER)
     theta = nodes * span
@@ -112,6 +114,26 @@ def _rules(problem: TunnelingProblem, lo: np.ndarray, span: np.ndarray):
                 "inside the forbidden region (malformed barrier)"
             )
         clamped = d <= 0.0
+        flat = clamped.all(axis=1)
+        if flat.any():
+            i = np.argmax(flat)
+            a, h = lo[i, 0], span[i, 0]
+            x_mid = x_l + w * math.sin(a + 0.5 * h) ** 2
+            head = f"V(x) - E is zero at every node of a panel near x = {x_mid:.6g}"
+            # a panel within its own length of a turning point may clamp only
+            # because V - E has rounded away there, not because V = E; gaps
+            # and length in units of w, the length as sin^2(a + h) - sin^2(a)
+            gap_l, gap_r = math.sin(a) ** 2, math.cos(a + h) ** 2
+            if min(gap_l, gap_r) <= math.sin(h) * math.sin(2.0 * a + h):
+                root = f"x_L = {x_l:.6g}" if gap_l <= gap_r else f"x_R = {problem.x_right:.6g}"
+                raise QuadratureFailure(
+                    f"{head}, next to the turning point {root}: either V = E there, so tau_c "
+                    "diverges, or V - E keeps too few digits there for the requested quad_tol; "
+                    "a looser quad_tol may pass"
+                )
+            raise QuadratureFailure(
+                f"{head}: V = E there inside the forbidden region, so tau_c diverges"
+            )
         np.maximum(d, 0.0, out=d)
     d *= 2.0 * m
     p = np.sqrt(d, out=d)
@@ -127,7 +149,6 @@ def _rules(problem: TunnelingProblem, lo: np.ndarray, span: np.ndarray):
     return q, clamped
 
 
-@functools.lru_cache(maxsize=1)
 def _panel_rule(problem: TunnelingProblem, quad_tol: float):
     """(phi, tau_c) by panel Gauss-Legendre, certified to quad_tol.
 
@@ -138,9 +159,8 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
     of the theta range, is bisected, and only the new halves are evaluated.
     A new half with a clamped node (p = 0, where both rules would agree on
     nonsense) never converges, and a panel clamped at every node (V = E on a
-    plateau inside the forbidden region, where tau_c diverges) raises at
-    once. The last result is kept, so that classical_time right after
-    action_phi (as in compute_wkb) evaluates the potential no second time.
+    plateau, where tau_c diverges, or V - E rounded away at a turning point)
+    raises at once.
     """
     x_l, w = problem.x_left, problem.width
     inner = problem.barrier.panel_edges(problem.energy, x_l, problem.x_right)
@@ -150,9 +170,7 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
     edges[1:-1] /= w
     np.arcsin(np.sqrt(edges, out=edges), out=edges)
     lo, span = edges[:-1], edges[1:] - edges[:-1]
-    q, clamped = _rules(problem, lo[:, None], span[:, None])
-    if clamped is not None:
-        _check_not_plateau(problem, lo, span, clamped)
+    q, _ = _rules(problem, lo[:, None], span[:, None])
     value, error = q[..., 1], np.abs(q[..., 1] - q[..., 0])
     limit = lo.size + _PANEL_BUDGET
     while True:
@@ -180,50 +198,43 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
         q, clamped = _rules(problem, new_lo[:, None], new_span[:, None])
         new_error = np.abs(q[..., 1] - q[..., 0])
         if clamped is not None:
-            _check_not_plateau(problem, new_lo, new_span, clamped)
             new_error[:, clamped.any(axis=1)] = math.inf
         lo, span = np.concatenate((lo[keep], new_lo)), np.concatenate((span[keep], new_span))
         value = np.concatenate((value[:, keep], q[..., 1]), axis=1)
         error = np.concatenate((error[:, keep], new_error), axis=1)
 
 
-def _check_not_plateau(problem: TunnelingProblem, lo, span, clamped) -> None:
-    """Raise QuadratureFailure if V - E was clamped to zero at every node of
-    a theta panel [lo, lo + span]: V = E across it inside the forbidden
-    region, where tau_c diverges and no bisection can converge."""
-    flat = clamped.all(axis=1)
-    if flat.any():
-        i = np.argmax(flat)
-        x = problem.x_left + problem.width * math.sin(lo[i] + 0.5 * span[i]) ** 2
-        raise QuadratureFailure(
-            f"V(x) - E is zero at every node of a panel near x = {x:.6g}: V = E there "
-            "inside the forbidden region, so tau_c diverges"
-        )
+_last = None  # (problem, quad_tol, (phi, tau_c)) of the last _integrals call
 
 
-def _integrate(problem: TunnelingProblem, want_time: bool, quad_tol: float) -> float:
-    """phi (want_time False) or tau_c: exact where the barrier family has a
-    closed form for the window, else certified to quad_tol by the panel
-    rule."""
+def _integrals(problem: TunnelingProblem, quad_tol: float):
+    """(phi, tau_c): exact where the barrier family has a closed form for
+    the window, else certified to quad_tol by the panel rule; kept for the
+    problem object, so that compute_wkb computes them once."""
+    global _last
+    last = _last
+    if last is not None and last[0] is problem and last[1] == quad_tol:
+        return last[2]
     lo, hi = _QUAD_TOL_RANGE
     if not lo <= quad_tol <= hi:
         raise DomainError(f"quad_tol must lie in [{lo:g}, {hi:g}], got {quad_tol}")
     if problem.width == 0.0:
-        return 0.0
-    exact = problem.barrier.closed_form(problem.energy, problem.x_left, problem.x_right, problem.mass)
-    if exact is not None:
-        return exact[want_time]
-    return _panel_rule(problem, quad_tol)[want_time]
+        return 0.0, 0.0
+    result = problem.barrier.closed_form(problem.energy, problem.x_left, problem.x_right, problem.mass)
+    if result is None:
+        result = _panel_rule(problem, quad_tol)
+    _last = problem, quad_tol, result
+    return result
 
 
 def action_phi(problem: TunnelingProblem, quad_tol: float = QUAD_TOL_DEFAULT) -> float:
     """Dimensionless barrier action Phi = (1/hbar) * int p(x) dx >= 0."""
-    return max(_integrate(problem, False, quad_tol), 0.0)
+    return max(_integrals(problem, quad_tol)[0], 0.0)
 
 
 def classical_time(problem: TunnelingProblem, quad_tol: float = QUAD_TOL_DEFAULT) -> float:
     """Classical tunneling time tau_c = int m dx / p(x), in a.u."""
-    return _integrate(problem, True, quad_tol)
+    return _integrals(problem, quad_tol)[1]
 
 
 def dphi_dE(
@@ -248,7 +259,7 @@ def compute_wkb(
     problem: TunnelingProblem, quad_tol: float = QUAD_TOL_DEFAULT
 ) -> WkbQuantities:
     """Evaluate phi, tau_c, and p_m = exp(-2*phi) for one problem; both
-    integrals come from one evaluation of the potential."""
+    integrals come from action_phi's one call, which classical_time reuses."""
     phi = action_phi(problem, quad_tol)
     tau_c = classical_time(problem, quad_tol)
     return WkbQuantities(phi=phi, tau_c=tau_c, p_m=math.exp(-2.0 * phi))

@@ -106,6 +106,11 @@ class TestEvalPotential:
         with pytest.raises(DomainError):
             eval_potential(b, -1.0)
 
+    def test_laser_coulomb_rejects_a_non_positive_charge(self):
+        # a bare charge Z = -1 leaves Z_eff negative far out
+        with pytest.raises(DomainError, match=r"^Z_eff = -1\.0+\d* is not positive$"):
+            LaserCoulomb(0.05, SaeZeff(Z=-1.0)).potential(50.0)
+
 
 def _sech2(knots, v0=1.0, a=1.0):
     xs = np.linspace(-10.0 * a, 10.0 * a, knots)
@@ -230,6 +235,9 @@ class TestBarrierPeak:
         assert v_max == 1.0
         assert 0.0 < x_peak < 2.0
 
+    def test_triangular_peaks_at_its_support_edge(self):
+        assert barrier_peak(Triangular(1.0, 0.25, 4.0)) == (0.0, 1.0)
+
     def test_sae_numeric_search(self):
         x_peak, v_max = barrier_peak(LaserCoulomb(0.04, SAE))
         assert x_peak == pytest.approx(5.0925005, abs=1e-5)
@@ -315,6 +323,8 @@ class TestTabulated:
     def test_requires_eight_increasing_samples(self):
         with pytest.raises(DomainError):
             Tabulated(np.linspace(0.0, 1.0, 7), np.ones(7))
+        with pytest.raises(DomainError, match="equal-length"):
+            Tabulated(np.linspace(0.0, 1.0, 8), np.ones(9))
         xs = np.array([0.0, 1.0, 0.5, 2.0, 3.0, 4.0, 5.0, 6.0])
         with pytest.raises(DomainError):
             Tabulated(xs, np.ones(8))

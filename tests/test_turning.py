@@ -319,6 +319,17 @@ class TestBracketed:
         assert got[0] == pytest.approx(ref[0], abs=1e-8)
         assert got[1] == pytest.approx(ref[1], abs=1e-8)
 
+    def test_root_missing_the_residual_raises(self):
+        # a family whose bracket function disagrees with its potential: the
+        # root of x - 1 is found exactly, yet the box's V - E there is 0.5
+        class Skewed(Rectangular):
+            def root_brackets(self, energy):
+                f = lambda x: x - 1.0
+                return (f, 0.0, 2.0), (f, 0.0, 2.0)
+
+        with pytest.raises(NoConvergence, match=r"root residual at x = 1\.0 exceeds 1e-10"):
+            turning_points_bracketed(Skewed(1.0, 2.0), 0.5)
+
     def test_tabulated_against_analytic_roots(self):
         # samples of -1.375/x - 0.04 x + 0.904; V(x) = 0.2 is the quadratic
         # 0.04 x**2 - 0.704 x + 1.375 = 0 with known roots

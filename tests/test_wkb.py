@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -46,7 +48,7 @@ def count_rules(monkeypatch):
         passes.append(True)
         return rules(*args)
 
-    wkb._panel_rule.cache_clear()
+    monkeypatch.setattr(wkb, "_last", None)
     monkeypatch.setattr(wkb, "_rules", spy)
     return passes
 
@@ -333,18 +335,25 @@ class TestPanelRule:
             (Triangular(1.0, 0.25, 4.0), 0.5, False),
             (Triangular(1.0, 0.25, 1.5), 0.5, True),
             (LaserCoulomb(0.05, KULLIE), HE_ENERGY, False),
+            (LaserCoulomb(0.05, CLEMENTI), HE_ENERGY, False),
             (LaserCoulomb(0.05, SAE), HE_ENERGY, True),
             (sech2_barrier(200), 0.5, True),
         ],
-        ids=["rect", "full-ramp", "truncated-ramp", "kullie", "sae", "tabulated"],
+        ids=["rect", "full-ramp", "truncated-ramp", "kullie", "clementi", "sae", "tabulated"],
     )
     def test_times_report_integrates_only_without_a_closed_form(
         self, monkeypatch, barrier, energy, integrated
     ):
+        # one report asks the family for its closed form once, and enters
+        # the panel rule once where there is none
         problem = resolve_problem(barrier, energy)
         calls = []
-        panel, evaluate = wkb._panel_rule, wkb.eval_potential
-        panel.cache_clear()
+        panel, evaluate, closed = wkb._panel_rule, wkb.eval_potential, type(barrier).closed_form
+        monkeypatch.setattr(wkb, "_last", None)
+
+        def closed_spy(*args):
+            calls.append("closed_form")
+            return closed(*args)
 
         def panel_spy(p, quad_tol):
             calls.append("_panel_rule")
@@ -354,13 +363,55 @@ class TestPanelRule:
             calls.append("eval_potential")
             return evaluate(b, x)
 
+        monkeypatch.setattr(type(barrier), "closed_form", closed_spy)
         monkeypatch.setattr(wkb, "_panel_rule", panel_spy)
         monkeypatch.setattr(wkb, "eval_potential", eval_spy)
         times_report(problem)
         if integrated:
-            assert {"_panel_rule", "eval_potential"} <= set(calls)
+            assert calls.count("closed_form") == calls.count("_panel_rule") == 1
+            assert "eval_potential" in calls
         else:
-            assert calls == []
+            assert calls == ["closed_form"]
+
+    def test_kept_pair_belongs_to_the_problem_that_asks(self):
+        first = resolve_problem(LaserCoulomb(0.05, SAE), HE_ENERGY)
+        second = resolve_problem(LaserCoulomb(0.05, KULLIE), HE_ENERGY)
+        want = compute_wkb(first)
+        action_phi(first)
+        action_phi(second)
+        assert classical_time(first) == want.tau_c
+        assert classical_time(second) == compute_wkb(second).tau_c != want.tau_c
+
+    def test_threads_alternating_problems_get_their_own_pairs(self):
+        # each thread alternates two problems while the other does the same,
+        # so the kept pair changes hands between action_phi and
+        # classical_time; every report must still be its own problem's
+        problems = [
+            resolve_problem(LaserCoulomb(0.05, SAE), HE_ENERGY),
+            resolve_problem(LaserCoulomb(0.05, KULLIE), HE_ENERGY),
+        ]
+        want = [compute_wkb(p) for p in problems]
+        wrong, start = [], threading.Barrier(2)
+
+        def alternate(first):
+            start.wait(timeout=60)
+            for k in range(400):
+                i = (first + k) % 2
+                if compute_wkb(problems[i]) != want[i]:
+                    wrong.append(i)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=alternate, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     @pytest.mark.parametrize("knots", [200, 1000])
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
@@ -426,7 +477,7 @@ class TestPanelRule:
         vs = np.exp(-((xs - 2.0) ** 2)) + np.exp(-((xs + 2.0) ** 2))
         vs[7:10] = 0.25
         problem = resolve_problem(Tabulated(xs, vs), 0.25)
-        wkb._panel_rule.cache_clear()
+        monkeypatch.setattr(wkb, "_last", None)
         passes = []
         rules = wkb._rules
 
@@ -442,6 +493,19 @@ class TestPanelRule:
         assert -1.0 <= x <= 1.0
         assert passes == [True]
         assert "tau_c diverges" in message and "loosen quad_tol" not in message
+        assert "turning point" not in message
+
+    def test_clamped_panel_next_to_a_turning_point_names_it(self):
+        # at quad_tol 3e-13 bisection walks toward x_R, where V - E rounds to
+        # zero at every node of a small enough half. No plateau lies there,
+        # and a looser quad_tol certifies the same problem
+        problem = resolve_problem(LaserCoulomb(0.2, SAE), HE_ENERGY)
+        with pytest.raises(QuadratureFailure) as failure:
+            times_report(problem, 3e-13)
+        message = str(failure.value)
+        assert f"next to the turning point x_R = {problem.x_right:.6g}: either V = E" in message
+        assert "too few digits" in message and "a looser quad_tol may pass" in message
+        assert math.isfinite(times_report(problem, 1e-12).ett)
 
     def test_truncated_ramp_graded_toward_its_root(self, no_fallback):
         # the support ends just short of the ramp root, so p stays small but
