@@ -9,18 +9,19 @@ Subcommands:
 * ``et-scan``  - electron-transfer scan as CSV/JSON plot data
 * ``oracle``   - numeric scattering transmission for cross-checking
 
-Exit status: 0 on success, 2 on usage errors, 3 on numeric or domain errors
-(the error class name is printed to standard error).
+Exit status: 0 on success; 2 on usage errors, among them a number or a comma
+list item that does not parse; 3 on numeric, domain or file errors, which
+print one line, ``error: <class name>: <message>``, to standard error.
 """
 
 import argparse
-import math
 import sys
 
 from .errors import TunnelTimesError
 from .experiments import (
     ET_DELTA_E_DEFAULT_EV,
     TABLE1_REFERENCE,
+    _scan_grid,
     et_scan,
     he_scan,
     run_table1,
@@ -53,8 +54,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _print_kv(key: str, value, stream=None) -> None:
-    print(f"{key:<18} {_fmt(value)}", file=stream or sys.stdout)
+def _print_kv(key: str, value) -> None:
+    print(f"{key:<18} {_fmt(value)}")
+
+
+def float_list(text: str):
+    """argparse type of comma-separated numbers; an empty item does not parse."""
+    return tuple(float(item) for item in text.split(","))
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -94,24 +100,21 @@ def _convert_units(args) -> None:
         args.length = angstrom_to_au(args.length)
 
 
+# --barrier name -> (constructor, the options it takes in order)
+_FAMILIES = {
+    "rect": (Rectangular, ("v0", "length")),
+    "triangular": (Triangular, ("v0", "slope", "length")),
+    "laser-coulomb": (lambda field, zeff: LaserCoulomb(field, zeff_model(zeff)), ("field", "zeff")),
+    "tabulated": (tabulated_from_file, ("file",)),
+}
+
+
 def _build_barrier(args, parser: argparse.ArgumentParser):
-    kind = args.barrier
-    if kind == "rect":
-        if args.v0 is None or args.length is None:
-            parser.error("rect barrier requires --v0 and --length")
-        return Rectangular(args.v0, args.length)
-    if kind == "triangular":
-        if args.v0 is None or args.slope is None or args.length is None:
-            parser.error("triangular barrier requires --v0, --slope, and --length")
-        return Triangular(args.v0, args.slope, args.length)
-    if kind == "laser-coulomb":
-        if args.field is None:
-            parser.error("laser-coulomb barrier requires --field")
-        return LaserCoulomb(args.field, zeff_model(args.zeff))
-    if kind == "tabulated":
-        if args.file is None:
-            parser.error("tabulated barrier requires --file")
-        return tabulated_from_file(args.file)
+    build, names = _FAMILIES[args.barrier]
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        parser.error(f"{args.barrier} barrier requires {', '.join(missing)}")
+    return build(*(getattr(args, name) for name in names))
 
 
 def _emit(rows, fmt: str, output) -> None:
@@ -208,12 +211,11 @@ def cmd_table1(args, parser) -> int:
 
 
 def cmd_he_scan(args, parser) -> int:
-    models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     points = he_scan(
         field_min=args.field_min,
         field_max=args.field_max,
         steps=args.steps,
-        models=models,
+        models=tuple(m.strip() for m in args.models.split(",")),
         omega=args.omega,
         quad_tol=args.quad_tol,
     )
@@ -222,15 +224,13 @@ def cmd_he_scan(args, parser) -> int:
 
 
 def cmd_et_scan(args, parser) -> int:
-    delta_grid = tuple(float(v) for v in args.delta_e.split(",") if v.strip())
     if args.length_steps < 2:
         parser.error("--length-steps must be at least 2")
-    step = (args.length_max - args.length_min) / (args.length_steps - 1)
-    lengths = tuple(args.length_min + i * step for i in range(args.length_steps))
     points = et_scan(
         energy_ev=args.energy_ev,
-        delta_e_grid_ev=delta_grid,
-        length_grid_angstrom=lengths,
+        delta_e_grid_ev=args.delta_e,
+        length_grid_angstrom=_scan_grid("length", args.length_min, args.length_max,
+                                        args.length_steps),
     )
     _emit(points, args.format, args.output)
     return 0
@@ -268,20 +268,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tunneling times for parametric 1-D barriers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    quad = argparse.ArgumentParser(add_help=False)
+    quad.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT,
+                      help=f"relative quadrature tolerance (default: {QUAD_TOL_DEFAULT:g})")
 
-    p_times = sub.add_parser("times", help="all time definitions for one problem")
-    _add_barrier_args(p_times, ("rect", "triangular", "laser-coulomb", "tabulated"))
-    p_times.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT,
-                         help=f"relative quadrature tolerance (default: {QUAD_TOL_DEFAULT:g})")
+    p_times = sub.add_parser("times", parents=[quad], help="all time definitions for one problem")
+    _add_barrier_args(p_times, tuple(_FAMILIES))
     p_times.set_defaults(func=cmd_times)
 
-    p_table = sub.add_parser("table1", help="helium benchmark with pass/fail diff")
-    p_table.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT,
-                         help=f"relative quadrature tolerance (default: {QUAD_TOL_DEFAULT:g})")
+    p_table = sub.add_parser("table1", parents=[quad], help="helium benchmark with pass/fail diff")
     _add_output_args(p_table)
     p_table.set_defaults(func=cmd_table1)
 
-    p_he = sub.add_parser("he-scan", help="laser-field scan (helium)")
+    p_he = sub.add_parser("he-scan", parents=[quad], help="laser-field scan (helium)")
     p_he.add_argument("--field-min", type=float, default=0.04,
                       help="lowest field strength in a.u. (default: 0.04)")
     p_he.add_argument("--field-max", type=float, default=0.11,
@@ -294,15 +293,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_he.add_argument("--omega", type=float, default=None,
                       help="drive angular frequency in a.u.; enables the "
                            "Keldysh column (default: none, column is NaN)")
-    p_he.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT,
-                      help=f"relative quadrature tolerance (default: {QUAD_TOL_DEFAULT:g})")
     _add_output_args(p_he)
     p_he.set_defaults(func=cmd_he_scan)
 
     p_et = sub.add_parser("et-scan", help="electron-transfer scan (rectangular)")
     p_et.add_argument("--energy-ev", type=float, default=1.0,
                       help="electron energy in eV (default: 1)")
-    p_et.add_argument("--delta-e", default=",".join(str(v) for v in ET_DELTA_E_DEFAULT_EV),
+    p_et.add_argument("--delta-e", type=float_list, default=ET_DELTA_E_DEFAULT_EV,
                       help="comma-separated barrier offsets v0 - E in eV "
                            f"(default: {','.join(str(v) for v in ET_DELTA_E_DEFAULT_EV)})")
     p_et.add_argument("--length-min", type=float, default=5.0,
@@ -328,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except TunnelTimesError as exc:
+    except (TunnelTimesError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 from .errors import DomainError, OverBarrier
-from .potentials import CLEMENTI, KULLIE, SAE, LaserCoulomb, Rectangular, ZeffModel
+from .potentials import _ZEFF_PRESETS as HE_MODELS, LaserCoulomb, Rectangular
 from .times import times_report
 from .turning import resolve_problem
 from .units import angstrom_to_au, ev_to_au, to_attoseconds, to_femtoseconds
@@ -48,8 +48,6 @@ logger = logging.getLogger(__name__)
 
 # single-active-electron helium: binding energy of the outgoing electron
 HE_ENERGY_AU = -0.904
-
-HE_MODELS: dict = {"sae": SAE, "kullie": KULLIE, "clementi": CLEMENTI}
 
 
 @dataclass(frozen=True)
@@ -140,6 +138,16 @@ def keldysh_gamma(omega: float, ionization_potential: float, field: float) -> fl
     return gamma
 
 
+def _scan_grid(name: str, low: float, high: float, steps: int):
+    """steps evenly spaced points from low to high, the last exactly high."""
+    if not 0.0 < low < high:
+        raise DomainError(f"need 0 < {name}_min < {name}_max, got ({low}, {high})")
+    if steps < 2:
+        raise DomainError(f"need at least 2 {name} steps, got {steps}")
+    step = (high - low) / (steps - 1)
+    return [low + i * step for i in range(steps - 1)] + [float(high)]
+
+
 def he_scan(
     field_min: float = 0.04,
     field_max: float = 0.11,
@@ -152,19 +160,12 @@ def he_scan(
     through times_report.
 
     Points where the energy is not below the barrier maximum are skipped
-    with a logged warning rather than failing the whole scan.
+    with a logged warning; OverBarrier is raised only if no point is left.
     """
-    if not 0.0 < field_min < field_max:
-        raise DomainError(
-            f"need 0 < field_min < field_max, got ({field_min}, {field_max})"
-        )
-    if steps < 2:
-        raise DomainError(f"need at least 2 field steps, got {steps}")
+    field_grid = _scan_grid("field", field_min, field_max, steps)
     unknown = [m for m in models if m not in HE_MODELS]
     if unknown:
         raise DomainError(f"unknown models {unknown}; choose from {sorted(HE_MODELS)}")
-    step = (field_max - field_min) / (steps - 1)
-    field_grid = [field_min + i * step for i in range(steps - 1)] + [float(field_max)]
     points = []
     for name in models:
         zeff = HE_MODELS[name]
@@ -192,6 +193,8 @@ def he_scan(
                     keldysh_gamma=gamma,
                 )
             )
+    if models and not points:
+        raise OverBarrier(f"E = {HE_ENERGY_AU} is not below the barrier at any field scanned")
     return points
 
 

@@ -111,7 +111,8 @@ def _doubling(d: float, span: float):
     a fixed-order rule converges on each however close it is; the last panel
     is at least as long as the one before it.
     """
-    r = d * _powers_of_two()
+    with np.errstate(over="ignore"):  # an edge far past the window is inf, and dropped
+        r = d * _powers_of_two()
     return r[r <= 0.5 * (span + d)] - d
 
 
@@ -649,9 +650,19 @@ def tabulated_from_file(path) -> Tabulated:
     """Read a tabulated barrier from a two-column text file.
 
     Columns are whitespace-separated x and V in atomic units; lines starting
-    with '#' are ignored.
+    with '#' are ignored. Content that is not numbers, or no data row at all,
+    raises DomainError naming the path; a path that cannot be opened raises
+    the OSError of ``open``.
     """
-    data = np.loadtxt(path, comments="#", ndmin=2)
+    import warnings
+
+    try:
+        with warnings.catch_warnings():
+            # numpy reports a file without data rows only by a UserWarning
+            warnings.simplefilter("error", UserWarning)
+            data = np.loadtxt(path, comments="#", ndmin=2)
+    except (ValueError, UserWarning) as exc:
+        raise DomainError(f"cannot read (x, V) samples from {path}: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 2:
         raise DomainError(f"expected two columns (x, V) in {path}")
     return Tabulated(data[:, 0], data[:, 1])

@@ -236,6 +236,31 @@ class TestTimes:
         assert rc == 3
         assert "DomainError" in err
 
+    @pytest.mark.parametrize("content, error", [
+        (None, "FileNotFoundError"),
+        ("directory", "IsADirectoryError"),
+        ("0 1\n1 abc\n", "DomainError"),
+        ("# no rows\n", "DomainError"),
+        (b"\xff\xfe\x00", "DomainError"),
+    ], ids=["missing", "directory", "junk", "no-rows", "binary"])
+    def test_unreadable_file_is_one_line(self, tmp_path, capsys, content, error):
+        path = tmp_path / "barrier.dat"
+        if content == "directory":
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        rc, out, err = run_cli(
+            ["times", "--barrier", "tabulated", "--file", str(path), "--energy", "0.5"],
+            capsys,
+        )
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"error: {error}: ")
+        assert err.count("\n") == 1
+        if error == "DomainError":
+            assert str(path) in err
+
     def test_tiny_energy(self, capsys):
         rc, out, _ = run_cli(
             ["times", "--barrier", "rect", "--v0", "1", "--length", "2",
@@ -328,6 +353,46 @@ class TestScans:
         with pytest.raises(SystemExit) as exc:
             main(["et-scan", "--length-steps", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("delta_e", ["abc", "", "0.5,", "0.5,,1"])
+    def test_et_scan_unparsable_delta_e_usage_error(self, capsys, delta_e):
+        with pytest.raises(SystemExit) as exc:
+            main(["et-scan", "--delta-e", delta_e])
+        assert exc.value.code == 2
+        assert "argument --delta-e" in capsys.readouterr().err
+
+    def test_he_scan_empty_model_refused(self, capsys):
+        rc, out, err = run_cli(["he-scan", "--models", ""], capsys)
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: DomainError: unknown models ['']")
+
+    @pytest.mark.parametrize("scan, name", [("et-scan", "length"), ("he-scan", "field")])
+    @pytest.mark.parametrize("low, high", [("30", "5"), ("5", "5"), ("0", "5"), ("-5", "5")],
+                             ids=["reversed", "empty", "zero", "negative"])
+    def test_scans_refuse_the_same_ranges(self, capsys, scan, name, low, high):
+        steps = "--length-steps" if scan == "et-scan" else "--steps"
+        rc, out, err = run_cli(
+            [scan, f"--{name}-min", low, f"--{name}-max", high, steps, "3"], capsys)
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"error: DomainError: need 0 < {name}_min < {name}_max")
+
+    def test_et_scan_last_length_is_length_max(self, capsys):
+        rc, out, _ = run_cli(
+            ["et-scan", "--delta-e", "0.5", "--length-min", "8.6",
+             "--length-max", "28.8", "--length-steps", "4"],
+            capsys,
+        )
+        assert rc == 0
+        # 8.6 + 3 * step rounds to 28.800000000000004; the grid ends on the bound
+        assert float(out.splitlines()[-1].split(",")[1]) == 28.8
+
+    def test_unwritable_output_is_one_line(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "et.csv"
+        rc, out, err = run_cli(["et-scan", "--length-steps", "2", "--output", str(target)],
+                               capsys)
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: FileNotFoundError: ")
+        assert err.count("\n") == 1
 
 
 class TestOracle:

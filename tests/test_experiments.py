@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from tunneltimes.errors import DomainError
+from tunneltimes.errors import DomainError, OverBarrier
 from tunneltimes.experiments import (
     ET_FLAG_THRESHOLD_FS,
     HE_ENERGY_AU,
@@ -134,6 +134,10 @@ class TestHeScan:
             points = he_scan(field_min=0.04, field_max=0.25, steps=8)
         assert 0 < len(points) < 8 * 3
         assert "skipping" in caplog.text
+
+    def test_no_point_below_the_barrier_raises(self):
+        with pytest.raises(OverBarrier, match="at any field scanned"):
+            he_scan(field_min=0.5, field_max=1.0, steps=3)
 
     def test_points_come_from_times_report(self):
         for p in he_scan(steps=4):

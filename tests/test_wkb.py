@@ -520,6 +520,13 @@ class TestPanelRule:
             assert q.phi == pytest.approx(phi, rel=1e-10)
             assert q.tau_c == pytest.approx(tau_c, rel=1e-10)
 
+    def test_ramp_root_far_beyond_the_window(self, no_fallback):
+        # at slope 1e-300 the ramp's root lies 5e299 past the support, so the
+        # graded edges overflow; they fall outside the window, which is one
+        # panel of V = 1
+        q = compute_wkb(resolve_problem(Triangular(1.0, 1e-300, 1.0), 0.5))
+        assert (q.phi, q.tau_c) == (pytest.approx(1.0, rel=1e-14), pytest.approx(1.0, rel=1e-14))
+
     def test_one_potential_evaluation_serves_both_integrals(self, monkeypatch):
         calls = []
         evaluate = wkb.eval_potential
