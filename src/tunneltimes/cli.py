@@ -20,6 +20,14 @@ import sys
 from .errors import TunnelTimesError
 from .experiments import (
     ET_DELTA_E_DEFAULT_EV,
+    ET_ENERGY_DEFAULT_EV,
+    ET_LENGTH_MAX_DEFAULT,
+    ET_LENGTH_MIN_DEFAULT,
+    ET_LENGTH_STEPS_DEFAULT,
+    HE_FIELD_MAX_DEFAULT,
+    HE_FIELD_MIN_DEFAULT,
+    HE_MODELS,
+    HE_STEPS_DEFAULT,
     TABLE1_REFERENCE,
     _scan_grid,
     et_scan,
@@ -188,15 +196,13 @@ def cmd_table1(args, parser) -> int:
     # human diff: stdout when rows went to a file, stderr otherwise so the
     # machine-readable stream stays clean
     diff_stream = sys.stdout if args.output else sys.stderr
-    reference = {(r.model, r.field): r for r in TABLE1_REFERENCE}
     failures = 0
     header = (
         f"{'model':<9} {'field':>5} {'cell':<9} {'computed':>14} "
         f"{'reference':>10} {'delta':>11} {'band':>6} status"
     )
     print(header, file=diff_stream)
-    for row in rows:
-        ref = reference[(row.model, row.field)]
+    for row, ref in zip(rows, TABLE1_REFERENCE):
         for name, got, refv, delta, note, passed in _diff_cells(row, ref):
             failures += not passed
             print(
@@ -270,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     quad = argparse.ArgumentParser(add_help=False)
     quad.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT,
-                      help=f"relative quadrature tolerance (default: {QUAD_TOL_DEFAULT:g})")
+                      help="relative quadrature tolerance (default: %(default)g)")
 
     p_times = sub.add_parser("times", parents=[quad], help="all time definitions for one problem")
     _add_barrier_args(p_times, tuple(_FAMILIES))
@@ -281,15 +287,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table1)
 
     p_he = sub.add_parser("he-scan", parents=[quad], help="laser-field scan (helium)")
-    p_he.add_argument("--field-min", type=float, default=0.04,
-                      help="lowest field strength in a.u. (default: 0.04)")
-    p_he.add_argument("--field-max", type=float, default=0.11,
-                      help="highest field strength in a.u. (default: 0.11)")
-    p_he.add_argument("--steps", type=int, default=15,
-                      help="number of field grid points (default: 15)")
-    p_he.add_argument("--models", default="sae,kullie,clementi",
-                      help="comma-separated effective-charge models "
-                           "(default: sae,kullie,clementi)")
+    p_he.add_argument("--field-min", type=float, default=HE_FIELD_MIN_DEFAULT,
+                      help="lowest field strength in a.u. (default: %(default)g)")
+    p_he.add_argument("--field-max", type=float, default=HE_FIELD_MAX_DEFAULT,
+                      help="highest field strength in a.u. (default: %(default)g)")
+    p_he.add_argument("--steps", type=int, default=HE_STEPS_DEFAULT,
+                      help="number of field grid points (default: %(default)d)")
+    p_he.add_argument("--models", default=",".join(HE_MODELS),
+                      help="comma-separated effective-charge models (default: %(default)s)")
     p_he.add_argument("--omega", type=float, default=None,
                       help="drive angular frequency in a.u.; enables the "
                            "Keldysh column (default: none, column is NaN)")
@@ -297,24 +302,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_he.set_defaults(func=cmd_he_scan)
 
     p_et = sub.add_parser("et-scan", help="electron-transfer scan (rectangular)")
-    p_et.add_argument("--energy-ev", type=float, default=1.0,
-                      help="electron energy in eV (default: 1)")
+    p_et.add_argument("--energy-ev", type=float, default=ET_ENERGY_DEFAULT_EV,
+                      help="electron energy in eV (default: %(default)g)")
     p_et.add_argument("--delta-e", type=float_list, default=ET_DELTA_E_DEFAULT_EV,
                       help="comma-separated barrier offsets v0 - E in eV "
                            f"(default: {','.join(str(v) for v in ET_DELTA_E_DEFAULT_EV)})")
-    p_et.add_argument("--length-min", type=float, default=5.0,
-                      help="shortest barrier in Angstrom (default: 5)")
-    p_et.add_argument("--length-max", type=float, default=30.0,
-                      help="longest barrier in Angstrom (default: 30)")
-    p_et.add_argument("--length-steps", type=int, default=26,
-                      help="number of length grid points (default: 26)")
+    p_et.add_argument("--length-min", type=float, default=ET_LENGTH_MIN_DEFAULT,
+                      help="shortest barrier in Angstrom (default: %(default)g)")
+    p_et.add_argument("--length-max", type=float, default=ET_LENGTH_MAX_DEFAULT,
+                      help="longest barrier in Angstrom (default: %(default)g)")
+    p_et.add_argument("--length-steps", type=int, default=ET_LENGTH_STEPS_DEFAULT,
+                      help="number of length grid points (default: %(default)d)")
     _add_output_args(p_et)
     p_et.set_defaults(func=cmd_et_scan)
 
     p_oracle = sub.add_parser("oracle", help="numeric scattering transmission")
     _add_barrier_args(p_oracle, ("rect", "triangular", "tabulated"))
     p_oracle.add_argument("--slices", type=int, default=DEFAULT_SLICES,
-                          help=f"piecewise-constant slices (default: {DEFAULT_SLICES})")
+                          help="piecewise-constant slices (default: %(default)d)")
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
@@ -323,6 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # argparse of Python 3.11 stores [] for --option=--, which no type function sees
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args, parser)
     except (TunnelTimesError, OSError) as exc:

@@ -8,9 +8,9 @@ Three studies are packaged here:
 * ``he_scan`` - the same system on a dense field grid, carrying both the
   experimentalist's width proxy |E|/field and the true turning-point width,
   plus the Keldysh parameter when a drive frequency is given.
-* ``et_scan`` - electron transfer through rectangular barriers, 5 to 30
-  Angstrom, with times in femtoseconds and a flag marking points whose
-  entropic time reaches the 5 fs nuclear-vibration scale.
+* ``et_scan`` - electron transfer through rectangular barriers on a grid of
+  lengths in Angstrom, with times in femtoseconds and a flag marking points
+  whose entropic time reaches the 5 fs nuclear-vibration scale.
 
 Scan points are independent and are emitted in deterministic grid order;
 two runs of the same configuration produce bit-identical CSV.
@@ -19,7 +19,7 @@ two runs of the same configuration produce bit-identical CSV.
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 from .errors import DomainError, OverBarrier
@@ -30,10 +30,7 @@ from .units import angstrom_to_au, ev_to_au, to_attoseconds, to_femtoseconds
 from .wkb import QUAD_TOL_DEFAULT
 
 __all__ = [
-    "HE_ENERGY_AU",
-    "HE_MODELS",
     "Table1Row",
-    "TABLE1_REFERENCE",
     "ScanPoint",
     "EtScanPoint",
     "run_table1",
@@ -106,23 +103,14 @@ class EtScanPoint:
 
 
 def run_table1(quad_tol: float = QUAD_TOL_DEFAULT):
-    """Compute the six benchmark rows (model-major, fields 0.04 then 0.11)."""
+    """Compute one row per TABLE1_REFERENCE cell, in its order."""
     rows = []
-    for name in ("sae", "kullie", "clementi"):
-        for field in (0.04, 0.11):
-            barrier = LaserCoulomb(field, HE_MODELS[name])
-            problem = resolve_problem(barrier, HE_ENERGY_AU)
-            report = times_report(problem, quad_tol)
-            rows.append(
-                Table1Row(
-                    model=name,
-                    field=field,
-                    x_L=problem.x_left,
-                    x_R=problem.x_right,
-                    tau_c_as=to_attoseconds(report.tau_c),
-                    ett_as=to_attoseconds(report.ett),
-                )
-            )
+    for ref in TABLE1_REFERENCE:
+        problem = resolve_problem(LaserCoulomb(ref.field, HE_MODELS[ref.model]), HE_ENERGY_AU)
+        report = times_report(problem, quad_tol)
+        rows.append(replace(ref, x_L=problem.x_left, x_R=problem.x_right,
+                            tau_c_as=to_attoseconds(report.tau_c),
+                            ett_as=to_attoseconds(report.ett)))
     return rows
 
 
@@ -148,11 +136,22 @@ def _scan_grid(name: str, low: float, high: float, steps: int):
     return [low + i * step for i in range(steps - 1)] + [float(high)]
 
 
+# the scans' defaults, read by the CLI too: fields in a.u., energies in eV,
+# lengths in Angstrom
+HE_FIELD_MIN_DEFAULT, HE_FIELD_MAX_DEFAULT, HE_STEPS_DEFAULT = 0.04, 0.11, 15
+ET_ENERGY_DEFAULT_EV = 1.0
+ET_DELTA_E_DEFAULT_EV = (0.05, 0.1, 0.2, 0.5, 1.0)
+ET_LENGTH_MIN_DEFAULT, ET_LENGTH_MAX_DEFAULT, ET_LENGTH_STEPS_DEFAULT = 5.0, 30.0, 26
+ET_LENGTH_DEFAULT_ANGSTROM = tuple(
+    _scan_grid("length", ET_LENGTH_MIN_DEFAULT, ET_LENGTH_MAX_DEFAULT, ET_LENGTH_STEPS_DEFAULT))
+ET_FLAG_THRESHOLD_FS = 5.0
+
+
 def he_scan(
-    field_min: float = 0.04,
-    field_max: float = 0.11,
-    steps: int = 15,
-    models: Sequence[str] = ("sae", "kullie", "clementi"),
+    field_min: float = HE_FIELD_MIN_DEFAULT,
+    field_max: float = HE_FIELD_MAX_DEFAULT,
+    steps: int = HE_STEPS_DEFAULT,
+    models: Sequence[str] = tuple(HE_MODELS),
     omega: Optional[float] = None,
     quad_tol: float = QUAD_TOL_DEFAULT,
 ):
@@ -198,13 +197,8 @@ def he_scan(
     return points
 
 
-ET_DELTA_E_DEFAULT_EV = (0.05, 0.1, 0.2, 0.5, 1.0)
-ET_LENGTH_DEFAULT_ANGSTROM = tuple(5.0 + i for i in range(26))
-ET_FLAG_THRESHOLD_FS = 5.0
-
-
 def et_scan(
-    energy_ev: float = 1.0,
+    energy_ev: float = ET_ENERGY_DEFAULT_EV,
     delta_e_grid_ev: Sequence[float] = ET_DELTA_E_DEFAULT_EV,
     length_grid_angstrom: Sequence[float] = ET_LENGTH_DEFAULT_ANGSTROM,
 ):

@@ -140,10 +140,15 @@ def _elliptic_e_g(a: float, b: float):
     = m / (2 (1 + k')) and c_(n+1) = c_n^2 / (4 a_(n+1)) carry a_n - g_n
     without cancellation, and reach 0 rather than stall at an ulp.
     G in this form keeps its digits as m -> 0, where (2 - m) E - 2 (1 - m) K
-    cancels; as k' -> 0 both brackets cancel by a factor of about ln(4/k')/2
-    (2 at k' = 0.1, 12 at k' = 1e-10)."""
+    cancels; as k' -> 0 both brackets cancel by a factor of about ln(4/k')/2.
+    So below k' = 1e-5 the complementary-modulus series take over (A&S
+    17.3.26, 17.3.36): E = 1 + k'^2 (L/2 - 1/4) and G = 1 + k'^2 (3/4 -
+    3L/2), L = ln(4/k'), whose next terms are O(k'^4 L) < 1e-18."""
     m = (b - a) / b
     k1 = math.sqrt(a) / math.sqrt(b)
+    if k1 < 1e-5:
+        lg, k2 = math.log(4.0) - math.log(k1), a / b
+        return 1.0 + k2 * (0.5 * lg - 0.25), 1.0 + k2 * (0.75 - 1.5 * lg)
     an, gn = 0.5 * (1.0 + k1), math.sqrt(k1)
     c = 0.5 * m / (1.0 + k1)
     s, w = c * c, 1.0

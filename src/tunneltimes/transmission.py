@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _MIN_SLICES = 64
+_MAX_SLICES = 2**20  # a run at the cap peaks near 120 MB
 DEFAULT_SLICES = 4096
 
 
@@ -144,12 +145,13 @@ def pt_numeric(
         Lead kinetic energy is non-positive on either side (no propagating
         asymptotic state).
     DomainError
-        Fewer than 64 slices requested, a non-positive or non-finite mass,
-        a non-finite energy, an excluded barrier family, or a propagator
-        product that overflows (barrier action beyond about 709).
+        Fewer than 64 or more than 2**20 slices requested, a non-positive
+        or non-finite mass, a non-finite energy, an excluded barrier family,
+        or a propagator product that overflows (barrier action beyond about
+        709).
     """
-    if slices < _MIN_SLICES:
-        raise DomainError(f"need at least {_MIN_SLICES} slices, got {slices}")
+    if not _MIN_SLICES <= slices <= _MAX_SLICES:
+        raise DomainError(f"need {_MIN_SLICES} to {_MAX_SLICES} slices, got {slices}")
     if not 0.0 < mass < math.inf:
         raise DomainError(f"mass must be positive and finite, got {mass}")
     if not math.isfinite(energy):

@@ -28,7 +28,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ROOT_TOL",
     "TunnelingProblem",
-    "bracketed_root",
     "turning_points_quadratic",
     "turning_points_bracketed",
     "resolve_problem",

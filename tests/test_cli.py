@@ -282,6 +282,22 @@ class TestTimes:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--quad-tol=--"],
+        ["times", "--barrier=--", "--energy", "1"],
+        ["times", "--barrier", "rect", "--v0", "1", "--length", "2", "--energy=--"],
+        ["et-scan", "--delta-e=--"],
+        ["he-scan", "--format=--"],
+    ])
+    def test_option_value_double_dash_usage_error(self, capsys, argv):
+        # argparse of Python 3.11 stores [] for --option=--
+        option = next(a for a in argv if a.endswith("=--"))[:-3]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"argument {option}" in err
+
 
 class TestTable1:
     def test_stdout_split_streams(self, capsys):
@@ -448,6 +464,13 @@ class TestOracle:
         kv = parse_kv(out)
         assert 0.0 < float(kv["p_t"]) < 1.0
         assert not {"phi_closed_form", "p_t_exact", "p_t_wkb"} & set(kv)
+
+    @pytest.mark.parametrize("slices", ["1048577", "100000000000"])
+    def test_slices_past_the_cap_refused(self, capsys, slices):
+        rc, out, err = run_cli(["oracle", "--barrier", "rect", "--v0", "1", "--length", "2",
+                                "--energy", "0.5", "--slices", slices], capsys)
+        assert rc == 3 and out == ""
+        assert err == f"error: DomainError: need 64 to 1048576 slices, got {slices}\n"
 
     def test_laser_coulomb_not_offered(self):
         with pytest.raises(SystemExit) as exc:

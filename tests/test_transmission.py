@@ -201,6 +201,10 @@ class TestNumericOracle:
     def test_slice_budget_validated(self):
         with pytest.raises(DomainError):
             pt_numeric(Rectangular(1.0, 2.0), 0.5, slices=32)
+        for slices in (2**20 + 1, 10**11):
+            # past the cap, refused before any slice array is allocated
+            with pytest.raises(DomainError, match="slices"):
+                pt_numeric(Rectangular(1.0, 2.0), 0.5, slices=slices)
         with pytest.raises(DomainError):
             pt_numeric(Rectangular(1.0, 2.0), 0.5, mass=0.0)
         with pytest.raises(DomainError):

@@ -261,14 +261,25 @@ class TestConstantChargeClosedForm:
         assert q.tau_c == pytest.approx(tau_c, rel=1e-14, abs=0.0)
 
     def test_vanishing_field_is_finite(self):
-        # at F = 1e-300 the window spans 300 decades; E = K (1 - m/2 - S)
-        # loses about ln(4/k') ulps to cancellation there
+        # at F = 1e-300 the window spans 300 decades
         problem = resolve_problem(LaserCoulomb(1e-300, KULLIE), HE_ENERGY)
         q = compute_wkb(problem)
         phi, tau_c = elliptic_reference(problem)
         assert math.isfinite(q.phi) and math.isfinite(q.tau_c)
         assert q.phi == pytest.approx(phi, rel=1e-12, abs=0.0)
         assert q.tau_c == pytest.approx(tau_c, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("z", [1.375, 16.0])
+    @pytest.mark.parametrize("field", [1e-100, 1e-300])
+    def test_weak_field_series_matches_mpmath(self, z, field):
+        # k' = sqrt(a/b) is below 1e-5, where E and G come from their
+        # complementary-modulus series; the AGM's forms cancel by a factor of
+        # about ln(4/k')/2 there
+        problem = resolve_problem(LaserCoulomb(field, ConstantZeff(z)), HE_ENERGY)
+        q = compute_wkb(problem)
+        phi, tau_c = elliptic_reference(problem)
+        assert q.phi == pytest.approx(phi, rel=1e-15, abs=0.0)
+        assert q.tau_c == pytest.approx(tau_c, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize(
         "zeff, energy, window",
