@@ -117,11 +117,11 @@ _FAMILIES = {
 }
 
 
-def _build_barrier(args, parser: argparse.ArgumentParser):
+def _build_barrier(args):
     build, names = _FAMILIES[args.barrier]
     missing = [f"--{name}" for name in names if getattr(args, name) is None]
     if missing:
-        parser.error(f"{args.barrier} barrier requires {', '.join(missing)}")
+        args.parser.error(f"{args.barrier} barrier requires {', '.join(missing)}")
     return build(*(getattr(args, name) for name in names))
 
 
@@ -134,9 +134,9 @@ def _emit(rows, fmt: str, output) -> None:
         writer(rows, sys.stdout)
 
 
-def cmd_times(args, parser) -> int:
+def cmd_times(args) -> int:
     _convert_units(args)
-    barrier = _build_barrier(args, parser)
+    barrier = _build_barrier(args)
     problem = resolve_problem(barrier, args.energy, args.mass)
     report = times_report(problem, args.quad_tol)
 
@@ -190,7 +190,7 @@ def _diff_cells(computed_row, reference_row):
         yield name, got, ref, delta, note, passed
 
 
-def cmd_table1(args, parser) -> int:
+def cmd_table1(args) -> int:
     rows = run_table1(args.quad_tol)
     _emit(rows, args.format, args.output)
     # human diff: stdout when rows went to a file, stderr otherwise so the
@@ -216,7 +216,7 @@ def cmd_table1(args, parser) -> int:
     return 0 if failures == 0 else 3
 
 
-def cmd_he_scan(args, parser) -> int:
+def cmd_he_scan(args) -> int:
     points = he_scan(
         field_min=args.field_min,
         field_max=args.field_max,
@@ -229,9 +229,9 @@ def cmd_he_scan(args, parser) -> int:
     return 0
 
 
-def cmd_et_scan(args, parser) -> int:
+def cmd_et_scan(args) -> int:
     if args.length_steps < 2:
-        parser.error("--length-steps must be at least 2")
+        args.parser.error("--length-steps must be at least 2")
     points = et_scan(
         energy_ev=args.energy_ev,
         delta_e_grid_ev=args.delta_e,
@@ -242,9 +242,9 @@ def cmd_et_scan(args, parser) -> int:
     return 0
 
 
-def cmd_oracle(args, parser) -> int:
+def cmd_oracle(args) -> int:
     _convert_units(args)
-    barrier = _build_barrier(args, parser)
+    barrier = _build_barrier(args)
     result = pt_numeric(barrier, args.energy, args.mass, args.slices)
     _print_kv("p_t", result.p_t)
     _print_kv("p_r", result.p_r)
@@ -273,6 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tunneltimes",
         description="Tunneling times for parametric 1-D barriers.",
     )
+    # each command carries its own parser, so that the usage errors found after
+    # parsing print that command's usage line, as argparse's own errors do
     sub = parser.add_subparsers(dest="command", required=True)
     quad = argparse.ArgumentParser(add_help=False)
     quad.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT,
@@ -280,11 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_times = sub.add_parser("times", parents=[quad], help="all time definitions for one problem")
     _add_barrier_args(p_times, tuple(_FAMILIES))
-    p_times.set_defaults(func=cmd_times)
+    p_times.set_defaults(func=cmd_times, parser=p_times)
 
     p_table = sub.add_parser("table1", parents=[quad], help="helium benchmark with pass/fail diff")
     _add_output_args(p_table)
-    p_table.set_defaults(func=cmd_table1)
+    p_table.set_defaults(func=cmd_table1, parser=p_table)
 
     p_he = sub.add_parser("he-scan", parents=[quad], help="laser-field scan (helium)")
     p_he.add_argument("--field-min", type=float, default=HE_FIELD_MIN_DEFAULT,
@@ -299,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="drive angular frequency in a.u.; enables the "
                            "Keldysh column (default: none, column is NaN)")
     _add_output_args(p_he)
-    p_he.set_defaults(func=cmd_he_scan)
+    p_he.set_defaults(func=cmd_he_scan, parser=p_he)
 
     p_et = sub.add_parser("et-scan", help="electron-transfer scan (rectangular)")
     p_et.add_argument("--energy-ev", type=float, default=ET_ENERGY_DEFAULT_EV,
@@ -314,26 +316,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_et.add_argument("--length-steps", type=int, default=ET_LENGTH_STEPS_DEFAULT,
                       help="number of length grid points (default: %(default)d)")
     _add_output_args(p_et)
-    p_et.set_defaults(func=cmd_et_scan)
+    p_et.set_defaults(func=cmd_et_scan, parser=p_et)
 
     p_oracle = sub.add_parser("oracle", help="numeric scattering transmission")
     _add_barrier_args(p_oracle, ("rect", "triangular", "tabulated"))
     p_oracle.add_argument("--slices", type=int, default=DEFAULT_SLICES,
                           help="piecewise-constant slices (default: %(default)d)")
-    p_oracle.set_defaults(func=cmd_oracle)
+    p_oracle.set_defaults(func=cmd_oracle, parser=p_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # argparse of Python 3.11 stores [] for --option=--, which no type function sees
     for name, value in vars(args).items():
         if isinstance(value, list):
-            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+            args.parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (TunnelTimesError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

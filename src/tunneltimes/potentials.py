@@ -314,9 +314,12 @@ class Rectangular(Barrier):
             s = 0.5 * (v0 - energy) / (mass * length * length) * -math.expm1(-4.0 * phi) / den
             pref = tau_c / (2.0 * phi * phi * math.sqrt(phi_e2))
         except ZeroDivisionError:
-            raise DomainError(f"rectangular times leave the float range at E = {energy}") from None
+            rho = s = pref = math.nan  # refused below
         head, summ = p_t * phi * (phi * phi - phi_e2), phi * phi + phi_e2
-        return p_t, rho, pref * (head + summ * summ * s), pref * (head + summ * phi_e2 * s)
+        phase, dwell = pref * (head + summ * summ * s), pref * (head + summ * phi_e2 * s)
+        if not (math.isfinite(phase) and math.isfinite(dwell)):
+            raise DomainError(f"rectangular times leave the float range at E = {energy}")
+        return p_t, rho, phase, dwell
 
     def turning_points(self, energy: float):
         # V - E changes sign through a jump at the support edges

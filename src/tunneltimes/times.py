@@ -26,8 +26,8 @@ from .errors import DomainError, RegimeError
 from .potentials import Rectangular, Triangular
 from .stattherm import PHI_STAR, bracket, inverse_temperature
 from .transmission import _rho_wkb
-from .turning import TunnelingProblem
-from .wkb import QUAD_TOL_DEFAULT, compute_wkb
+from .turning import TunnelingProblem, resolve_problem
+from .wkb import QUAD_TOL_DEFAULT, action_phi, classical_time, compute_wkb
 
 __all__ = [
     "TimesReport",
@@ -50,16 +50,20 @@ def _check_under_barrier(energy: float, v0: float):
         raise DomainError(f"energy must lie in (0, v0) = (0, {v0}), got {energy}")
 
 
+def _box(energy: float, v0: float, length: float, mass: float) -> TunnelingProblem:
+    """The box's problem; E outside (0, v0) is a DomainError, not OverBarrier."""
+    _check_under_barrier(energy, v0)
+    return resolve_problem(Rectangular(v0, length), energy, mass)
+
+
 def phi_rectangular(energy: float, v0: float, length: float, mass: float = 1.0) -> float:
     """Closed-form action sqrt(2m(v0 - E)) * L / hbar."""
-    _check_under_barrier(energy, v0)
-    return Rectangular(v0, length).closed_form(energy, 0.0, length, mass)[0]
+    return action_phi(_box(energy, v0, length, mass))
 
 
 def tau_c_rectangular(energy: float, v0: float, length: float, mass: float = 1.0) -> float:
     """Closed-form classical time m*L^2/(hbar*phi) = L*sqrt(m/(2(v0 - E)))."""
-    _check_under_barrier(energy, v0)
-    return Rectangular(v0, length).closed_form(energy, 0.0, length, mass)[1]
+    return classical_time(_box(energy, v0, length, mass))
 
 
 def _ett(tau_c: float, phi: float, rho: float) -> float:
@@ -101,9 +105,7 @@ def ett_rectangular(energy: float, v0: float, length: float, mass: float = 1.0) 
     Finite for any length. Identical to ett_general with
     pt_rectangular_exact to relative 1e-12.
     """
-    phi = phi_rectangular(energy, v0, length, mass)
-    tau_c = tau_c_rectangular(energy, v0, length, mass)
-    return _ett(tau_c, phi, Rectangular(v0, length).transmission(energy, phi, tau_c, mass)[1])
+    return times_report(_box(energy, v0, length, mass)).ett
 
 
 def phase_time_rectangular(
@@ -119,9 +121,7 @@ def phase_time_rectangular(
 
     Saturates at (hbar/E) sqrt(E/(v0 - E)) for wide barriers.
     """
-    phi = phi_rectangular(energy, v0, length, mass)
-    tau_c = tau_c_rectangular(energy, v0, length, mass)
-    return Rectangular(v0, length).transmission(energy, phi, tau_c, mass)[2]
+    return times_report(_box(energy, v0, length, mass)).phase_time
 
 
 def dwell_time_rectangular(
@@ -135,9 +135,7 @@ def dwell_time_rectangular(
 
     Saturates at (hbar/v0) sqrt(E/(v0 - E)) for wide barriers.
     """
-    phi = phi_rectangular(energy, v0, length, mass)
-    tau_c = tau_c_rectangular(energy, v0, length, mass)
-    return Rectangular(v0, length).transmission(energy, phi, tau_c, mass)[3]
+    return times_report(_box(energy, v0, length, mass)).dwell_time
 
 
 def triangular_scalings(
@@ -158,16 +156,14 @@ def triangular_scalings(
         support, where the ratios are no longer exact.
     """
     _check_under_barrier(energy, v0)
-    if not field > 0:
-        raise DomainError(f"field strength must be positive, got {field}")
-    if not length > 0:
-        raise DomainError(f"length must be positive, got {length}")
+    ramp = Triangular(v0, field, length)
     if (v0 - energy) / field > length:
         raise RegimeError(
             f"turning point (v0 - E)/field = {(v0 - energy) / field:.6g} lies "
             f"beyond the support length {length}"
         )
-    return Triangular(v0, field, length).closed_form(energy, 0.0, (v0 - energy) / field, mass)
+    quantities = compute_wkb(resolve_problem(ramp, energy, mass))
+    return quantities.phi, quantities.tau_c
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,8 @@ _last = None  # (problem, quad_tol, (phi, tau_c)) of the last _integrals call
 def _integrals(problem: TunnelingProblem, quad_tol: float):
     """(phi, tau_c): exact where the barrier family has a closed form for
     the window, else certified to quad_tol by the panel rule; kept for the
-    problem object, so that compute_wkb computes them once."""
+    problem object, so that compute_wkb computes them once. A closed form
+    that leaves the float range raises DomainError."""
     global _last
     last = _last
     if last is not None and last[0] is problem and last[1] == quad_tol:
@@ -223,6 +224,8 @@ def _integrals(problem: TunnelingProblem, quad_tol: float):
     result = problem.barrier.closed_form(problem.energy, problem.x_left, problem.x_right, problem.mass)
     if result is None:
         result = _panel_rule(problem, quad_tol)
+    elif not (math.isfinite(result[0]) and math.isfinite(result[1])):
+        raise DomainError(f"closed-form (phi, tau_c) = {result} leave the float range")
     _last = problem, quad_tol, result
     return result
 

@@ -277,6 +277,30 @@ class TestTimes:
             main(["times", "--barrier", "rect", "--energy", "0.5"])
         assert exc.value.code == 2
 
+    def test_box_times_past_the_float_range_exit_code(self, capsys):
+        rc, out, err = run_cli(
+            ["times", "--barrier", "rect", "--v0", "1", "--length", "0.5",
+             "--energy", "4.149430639092227e-68", "--mass", "1e300"],
+            capsys,
+        )
+        assert (rc, out) == (3, "")
+        assert err == ("error: DomainError: rectangular times leave the float range "
+                       "at E = 4.149430639092227e-68\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["times", "--barrier", "rect", "--energy", "0.5"],
+        ["et-scan", "--length-steps", "1"],
+        ["oracle", "--barrier", "rect", "--energy=--"],
+    ], ids=["missing-option", "length-steps", "list-valued"])
+    def test_usage_errors_found_after_parsing_name_their_command(self, capsys, argv):
+        # as argparse's own errors do, e.g. for --energy abc
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tunneltimes {argv[0]} [-h]")
+        assert f"tunneltimes {argv[0]}: error: " in err
+
     def test_missing_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -15,16 +15,23 @@ import pytest
 from tunneltimes import (
     ConstantZeff,
     LaserCoulomb,
+    Rectangular,
     TunnelTimesError,
     bracket,
+    dwell_time_rectangular,
     ett_general,
     ett_he,
+    ett_rectangular,
     inverse_temperature,
     keldysh_gamma,
+    phase_time_rectangular,
+    phi_rectangular,
     pt_rectangular_exact,
     pt_wkb,
     resolve_problem,
+    tau_c_rectangular,
     times_report,
+    triangular_scalings,
 )
 from tunneltimes import errors
 from tunneltimes.cli import main
@@ -39,26 +46,56 @@ ANY = st.one_of(
     st.floats(300.0, 800.0),
 )
 
+
+def floats(n):
+    return st.lists(ANY, min_size=n, max_size=n)
+
+
+@st.composite
+def helper_args(draw, ramp):
+    """A box, or a ramp whose root lies inside its support, in the helper's
+    argument order (v0, energy, field, length for the ramp, energy, v0,
+    length for the box), with at most one of these and the mass drawn from
+    any float."""
+    plausible = st.floats(0.1, 10.0)
+    v0, field = draw(plausible), draw(plausible)
+    energy = v0 * draw(st.floats(0.01, 0.99))
+    length = (v0 - energy) / field * draw(st.floats(1.0, 4.0)) if ramp else draw(plausible)
+    args = [v0, energy, field, length] if ramp else [energy, v0, length]
+    wild = draw(st.sets(st.integers(0, len(args) - 1), max_size=1))
+    return [draw(ANY) if i in wild else a for i, a in enumerate(args)] + [
+        draw(st.one_of(ANY, plausible))
+    ]
+
+
 ENTRY_POINTS = {
-    bracket: 1,
-    inverse_temperature: 2,
-    pt_wkb: 1,
-    pt_rectangular_exact: 3,
-    ett_general: 3,
-    ett_he: 2,
-    keldysh_gamma: 3,
+    bracket: floats(1),
+    inverse_temperature: floats(2),
+    pt_wkb: floats(1),
+    pt_rectangular_exact: floats(3),
+    ett_general: floats(3),
+    ett_he: floats(2),
+    keldysh_gamma: floats(3),
+    phi_rectangular: helper_args(ramp=False),
+    tau_c_rectangular: helper_args(ramp=False),
+    ett_rectangular: helper_args(ramp=False),
+    phase_time_rectangular: helper_args(ramp=False),
+    dwell_time_rectangular: helper_args(ramp=False),
+    triangular_scalings: helper_args(ramp=True),
 }
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
 @settings(max_examples=200, deadline=None)
-@given(args=st.lists(ANY, min_size=3, max_size=3))
-def test_finite_or_tunneltimes_error(entry, args):
+@given(data=st.data())
+def test_finite_or_tunneltimes_error(entry, data):
+    args = data.draw(ENTRY_POINTS[entry], label="args")
     try:
-        value = entry(*args[: ENTRY_POINTS[entry]])
+        value = entry(*args)
     except TunnelTimesError:
         return
-    assert math.isfinite(value)
+    # triangular_scalings returns (phi, tau_c)
+    assert all(map(math.isfinite, value if isinstance(value, tuple) else (value,)))
 
 
 # any float, and besides it fields and charges of every positive magnitude,
@@ -80,6 +117,19 @@ def test_constant_charge_times_report_finite_or_tunneltimes_error(field, z, ener
         return
     # kBT is +inf by design once exp(2 phi) overflows
     assert all(map(math.isfinite, (report.phi, report.tau_c, report.ett, report.p_t_used)))
+
+
+# the energy a fraction of v0, so that most draws lie under the box
+@settings(max_examples=300, deadline=None)
+@given(v0=POSITIVE, length=POSITIVE, frac=st.floats(0.0, 1.0), mass=POSITIVE)
+def test_rectangle_times_report_finite_or_tunneltimes_error(v0, length, frac, mass):
+    try:
+        report = times_report(resolve_problem(Rectangular(v0, length), frac * v0, mass))
+    except TunnelTimesError:
+        return
+    # the box has phase and dwell times too, and they are held to the same
+    assert all(map(math.isfinite, (report.phi, report.tau_c, report.ett, report.p_t_used,
+                                   report.phase_time, report.dwell_time)))
 
 
 # argv for main: each option of a subcommand, as --option=value, drawn from

@@ -226,6 +226,56 @@ class TestTriangularScalings:
             triangular_scalings(1.0, 0.5, -0.25, 2.0)
         with pytest.raises(DomainError):
             triangular_scalings(1.0, 0.5, 0.25, 0.0)
+        with pytest.raises(DomainError):
+            triangular_scalings(1.0, 0.5, 0.0, 4.0)
+
+    def test_root_underflowing_to_the_support_edge_is_zero(self):
+        # (v0 - E)/field underflows to 0: a zero-width window, not None
+        args = (7.065801873723301e-195, 1e-300, 8.668968103196274e229, 2.0,
+                1.1992419133293476e-82)
+        assert triangular_scalings(*args) == (0.0, 0.0)
+
+
+HELPERS = [
+    (phi_rectangular, (0.5, 1.0, 2.0)),
+    (tau_c_rectangular, (0.5, 1.0, 2.0)),
+    (ett_rectangular, (0.5, 1.0, 2.0)),
+    (phase_time_rectangular, (0.5, 1.0, 2.0)),
+    (dwell_time_rectangular, (0.5, 1.0, 2.0)),
+    (triangular_scalings, (1.0, 0.5, 0.25, 4.0)),
+]
+HELPER_IDS = [helper.__name__ for helper, _ in HELPERS]
+
+
+class TestHelpersReadThePipeline:
+    @pytest.mark.parametrize("mass", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("helper, args", HELPERS, ids=HELPER_IDS)
+    def test_mass_refused(self, helper, args, mass):
+        with pytest.raises(DomainError, match="mass must be positive"):
+            helper(*args, mass=mass)
+
+    @pytest.mark.parametrize("helper, args", HELPERS, ids=HELPER_IDS)
+    def test_energy_over_the_barrier_is_a_domain_error(self, helper, args):
+        # E = v0 is a DomainError, not the OverBarrier of resolve_problem;
+        # both argument orders start with energy and v0, in either order
+        with pytest.raises(DomainError):
+            helper(1.0, 1.0, *args[2:])
+
+    @pytest.mark.parametrize("helper", [ett_rectangular, phase_time_rectangular,
+                                        dwell_time_rectangular])
+    def test_box_times_past_the_float_range_refused(self, helper):
+        # phase and dwell times used to come out NaN here
+        with pytest.raises(DomainError, match="rectangular times leave the float range"):
+            helper(4.149430639092227e-68, 1.0, 0.5, 1e300)
+
+    def test_same_numbers_as_the_report(self):
+        report = times_report(resolve_problem(Rectangular(1.0, 2.0), 0.3, 2.0))
+        args = (0.3, 1.0, 2.0, 2.0)
+        assert phi_rectangular(*args) == report.phi
+        assert tau_c_rectangular(*args) == report.tau_c
+        assert ett_rectangular(*args) == report.ett
+        assert phase_time_rectangular(*args) == report.phase_time
+        assert dwell_time_rectangular(*args) == report.dwell_time
 
 
 class TestTimesReport:

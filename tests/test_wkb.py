@@ -300,6 +300,20 @@ class TestConstantChargeClosedForm:
         assert barrier.closed_form(energy, *window, 1.0) is None
 
 
+class TestClosedFormsInTheFloatRange:
+    def test_constant_charge_action_overflow_refused(self):
+        barrier = LaserCoulomb(6.744451725862725e-102, ConstantZeff(4.6500291184773253e285))
+        problem = resolve_problem(barrier, -5.414123228191195e158)
+        with pytest.raises(DomainError, match="leave the float range"):
+            compute_wkb(problem)
+
+    def test_rectangle_classical_time_overflow_refused(self):
+        # the true tau_c is about 4.2e-123; mass / (2 d) overflows on the way
+        problem = resolve_problem(Rectangular(2e-208, 1e-310), 7e-232, 7e167)
+        with pytest.raises(DomainError, match="leave the float range"):
+            classical_time(problem)
+
+
 class TestPanelRule:
     @pytest.mark.parametrize(
         "v0, length, energy", [(1.0, 2.0, 0.5), (2.0, 40.0, 0.1), (0.5, 0.5, 0.45)]
