@@ -41,7 +41,7 @@ from .times import times_report
 from .transmission import DEFAULT_SLICES, pt_numeric, pt_wkb
 from .turning import resolve_problem
 from .units import angstrom_to_au, ev_to_au, to_attoseconds, to_femtoseconds
-from .wkb import QUAD_TOL_DEFAULT
+from .wkb import QUAD_TOL_DEFAULT, compute_wkb
 
 __all__ = ["main"]
 
@@ -254,17 +254,16 @@ def cmd_oracle(args) -> int:
     # phase time too, and closed-form integrals), beside the WKB one
     try:
         problem = resolve_problem(barrier, args.energy, args.mass)
-        exact = barrier.closed_form(problem.energy, problem.x_left, problem.x_right, problem.mass)
-        if exact is None:
+        if barrier.closed_form(problem.energy, problem.x_left, problem.x_right) is None:
             return 0
-        phi, tau_c = exact
-        p_t, _, phase, _ = barrier.transmission(problem.energy, phi, tau_c, problem.mass)
+        q = compute_wkb(problem)
+        p_t, _, phase, _ = barrier.transmission(problem.energy, q.phi, q.tau_c, problem.mass)
     except TunnelTimesError:
         return 0  # no integrals or transmission at this energy to compare
     if phase is not None:
-        _print_kv("phi_closed_form", phi)
+        _print_kv("phi_closed_form", q.phi)
         _print_kv("p_t_exact", p_t)
-        _print_kv("p_t_wkb", pt_wkb(phi))
+        _print_kv("p_t_wkb", pt_wkb(q.phi))
     return 0
 
 

@@ -12,13 +12,13 @@ otherwise by a bracketed root solve that reaches the barrier through
 per turning point from a point of the family's choosing where V > E, or
 raises OverBarrier, and returns each as (f, lo, hi), f being V - E as the
 family writes it on that bracket, without ``potential``'s domain checks;
-then ``closed_form`` and ``panel_edges`` for the barrier integrals, exact
-(any window inside a rectangle, a full ramp, the full window of a
-constant-charge Coulomb barrier) or by quadrature; ``transmission`` for p_t, rho = exp(-2 phi)/p_t
-and the phase and dwell times (exact, times included, for a rectangle); and
-``oracle_slices`` for the transfer-matrix oracle. The base class ``Barrier``
-supplies the defaults: no closed form, no inner panel edges, and the WKB
-transmission 1/cosh^2(phi) without phase or dwell times.
+then ``closed_form`` and ``panel_edges`` for the unit-mass barrier integrals
+(wkb applies the mass), exact (a window inside a rectangle, a full ramp, a
+constant charge's full window) or by quadrature; ``transmission`` for p_t,
+rho = exp(-2 phi)/p_t and the phase and dwell times (exact, times included,
+for a rectangle); and ``oracle_slices`` for the transfer-matrix oracle. The
+base class ``Barrier`` supplies the defaults: no closed form, no inner panel
+edges, and the WKB transmission 1/cosh^2(phi) without phase or dwell times.
 Effective-charge models are callables: ``model(x)`` is Z_eff(x), and the SAE
 peak is the zero of V', with Z_eff' from ``SaeZeff.derivative``.
 ``potential`` and the models take a float, an int or a numpy array; a
@@ -29,7 +29,6 @@ fail.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -97,12 +96,6 @@ def _float_or_array(v):
 _ONE_PANEL = ()
 
 
-@functools.cache
-def _powers_of_two():
-    """2, 4, ..., 2^63, built at the first call rather than at import."""
-    return 2.0 ** np.arange(1, 64)
-
-
 def _doubling(d: float, span: float):
     """Offsets into a window of length span of panel edges that double in
     length away from a singularity d beyond the window's near end.
@@ -111,9 +104,13 @@ def _doubling(d: float, span: float):
     a fixed-order rule converges on each however close it is; the last panel
     is at least as long as the one before it.
     """
-    with np.errstate(over="ignore"):  # an edge far past the window is inf, and dropped
-        r = d * _powers_of_two()
-    return r[r <= 0.5 * (span + d)] - d
+    offsets, r, stop = [], d, 0.5 * (span + d)
+    for _ in range(63):
+        r += r  # d 2^k, k = 1..63
+        if r > stop:
+            break
+        offsets.append(r - d)
+    return offsets
 
 
 def _walk_down(f, start: float, factor: float):
@@ -250,8 +247,9 @@ def zeff_model(name: str) -> ZeffModel:
 class Barrier:
     """The defaults every barrier family inherits."""
 
-    def closed_form(self, energy: float, x_left: float, x_right: float, mass: float):
-        """Exact (phi, tau_c) over [x_left, x_right] at energy, or None."""
+    def closed_form(self, energy: float, x_left: float, x_right: float):
+        """Exact unit-mass integrals of sqrt(V - E) and 1/sqrt(V - E) over
+        [x_left, x_right] at energy, or None; wkb._integrals applies the mass once."""
         return None
 
     def panel_edges(self, energy: float, lo: float, hi: float):
@@ -291,13 +289,13 @@ class Rectangular(Barrier):
         # any interior point qualifies; the midpoint is returned
         return 0.5 * self.length, self.v0
 
-    def closed_form(self, energy: float, x_left: float, x_right: float, mass: float):
-        """Exact (phi, tau_c) over the window [x_left, x_right] at energy, or
+    def closed_form(self, energy: float, x_left: float, x_right: float):
+        """The unit-mass pair over the window [x_left, x_right] at energy, or
         None; V - E is a constant d > 0 on a window inside the support, so
-        phi = sqrt(2 m d) w / hbar and tau_c = w sqrt(m / (2 d)) over width w."""
+        the pair is sqrt(d) w and w / sqrt(d) over width w."""
         if 0.0 <= x_left and x_right <= self.length and energy < self.v0:
-            d, w = self.v0 - energy, x_right - x_left
-            return math.sqrt(2.0 * mass * d) * w, w * math.sqrt(mass / (2.0 * d))
+            root_d, w = math.sqrt(self.v0 - energy), x_right - x_left
+            return root_d * w, w / root_d
         return None
 
     def transmission(self, energy: float, phi: float, tau_c: float, mass: float):
@@ -357,21 +355,21 @@ class Triangular(Barrier):
     def peak(self):
         return 0.0, self.v0
 
-    def closed_form(self, energy: float, x_left: float, x_right: float, mass: float):
+    def closed_form(self, energy: float, x_left: float, x_right: float):
         # exact on the whole ramp, from the support edge to the ramp's own
-        # root, where V - E falls from d = v0 - E to zero: phi = (2/3) k d /
-        # hbar and tau_c = k, k = sqrt(2 m d) / slope. A ramp cut short by
-        # the support stays with the panel rule
+        # root, where V - E falls from d = v0 - E to zero: the unit-mass
+        # pair is (2/3) k d and 2 k, k = sqrt(d) / slope. A ramp cut short
+        # by the support stays with the panel rule
         if x_left == 0.0 < x_right == (self.v0 - energy) / self.slope <= self.length:
-            k = math.sqrt(2.0 * mass * (self.v0 - energy)) / self.slope
-            return (2.0 / 3.0) * k * (self.v0 - energy), k
+            k = math.sqrt(self.v0 - energy) / self.slope
+            return (2.0 / 3.0) * k * (self.v0 - energy), 2.0 * k
         return None
 
     def panel_edges(self, energy: float, lo: float, hi: float):
         # a ramp cut short by the support leaves sqrt(V - E) a branch point
         # at the ramp's own root, d beyond the window
         d = (self.v0 - energy) / self.slope - hi
-        return hi - _doubling(d, hi - lo)[::-1] if d > 0.0 else _ONE_PANEL
+        return [hi - r for r in reversed(_doubling(d, hi - lo))] if d > 0.0 else _ONE_PANEL
 
     def turning_points(self, energy: float):
         # the entry is the support edge; the exit is the ramp's linear root
@@ -434,15 +432,14 @@ class LaserCoulomb(Barrier):
         # V has a pole at x = 0, a distance lo before the window: one panel
         # converges too slowly once hi/lo is large. A window reaching x <= 0
         # is rejected by the integrand itself
-        return lo + _doubling(lo, hi - lo) if lo > 0.0 else _ONE_PANEL
+        return [lo + r for r in _doubling(lo, hi - lo)] if lo > 0.0 else _ONE_PANEL
 
-    def closed_form(self, energy: float, x_left: float, x_right: float, mass: float):
+    def closed_form(self, energy: float, x_left: float, x_right: float):
         # a constant Z_eff on the window of its own quadratic's roots a < b,
-        # where V - E = F (x - a)(b - x)/x: at mass mu and m = 1 - a/b,
-        # phi = sqrt(2 mu F) (2/3) b^(3/2) G and tau_c = sqrt(mu / (2F))
-        # 2 sqrt(b) E (Byrd & Friedman, Handbook of Elliptic Integrals
-        # (1971)). Any other window, or an energy without roots, stays with
-        # the panel rule
+        # where V - E = F (x - a)(b - x)/x: with m = 1 - a/b, the unit-mass
+        # pair is sqrt(F) (2/3) b^(3/2) G and 2 sqrt(b) E / sqrt(F) (Byrd &
+        # Friedman, Handbook of Elliptic Integrals (1971)). Any other window,
+        # or an energy without roots, stays with the panel rule
         if not isinstance(self.zeff, ConstantZeff):
             return None
         try:
@@ -452,9 +449,8 @@ class LaserCoulomb(Barrier):
         if (x_left, x_right) != roots:
             return None
         e, g = _elliptic_e_g(x_left, x_right)
-        root_b = math.sqrt(x_right)
-        phi = math.sqrt(2.0 * mass * self.field) * x_right * root_b * (2.0 / 3.0) * g
-        return phi, math.sqrt(mass / (2.0 * self.field)) * 2.0 * root_b * e
+        root_b, root_f = math.sqrt(x_right), math.sqrt(self.field)
+        return root_f * x_right * root_b * (2.0 / 3.0) * g, 2.0 * root_b * e / root_f
 
     def turning_points(self, energy: float):
         if isinstance(self.zeff, ConstantZeff):

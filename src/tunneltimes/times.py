@@ -25,7 +25,7 @@ from typing import Optional
 from .errors import DomainError, RegimeError
 from .potentials import Rectangular, Triangular
 from .stattherm import PHI_STAR, bracket, inverse_temperature
-from .transmission import _rho_wkb
+from .transmission import _check_under_barrier, _rho_wkb
 from .turning import TunnelingProblem, resolve_problem
 from .wkb import QUAD_TOL_DEFAULT, action_phi, classical_time, compute_wkb
 
@@ -43,11 +43,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _check_under_barrier(energy: float, v0: float):
-    if not 0.0 < energy < v0:
-        raise DomainError(f"energy must lie in (0, v0) = (0, {v0}), got {energy}")
 
 
 def _box(energy: float, v0: float, length: float, mass: float) -> TunnelingProblem:

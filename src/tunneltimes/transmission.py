@@ -44,11 +44,15 @@ class ScatteringResult:
     grid_points: int
 
 
+def _check_under_barrier(energy: float, v0: float):
+    if not 0.0 < energy < v0:
+        raise DomainError(f"energy must lie in (0, v0) = (0, {v0}), got {energy}")
+
+
 def _rectangular_terms(energy: float, v0: float, phi: float):
     """pt_rectangular_exact's p_t = g*e^{-2phi} / den, with e^{-2phi},
     1 - e^{-2phi} (by expm1) and den, which the rectangular times reuse."""
-    if not 0.0 < energy < v0:
-        raise DomainError(f"energy must lie in (0, v0) = (0, {v0}), got {energy}")
+    _check_under_barrier(energy, v0)
     g = 4.0 * energy * (v0 - energy)
     em = math.exp(-2.0 * phi)
     one_minus = -math.expm1(-2.0 * phi)

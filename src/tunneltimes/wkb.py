@@ -3,9 +3,10 @@
 Both barrier integrals share the imaginary momentum magnitude
 p(x) = sqrt(2m(V(x) - E)) over the forbidden region [x_L, x_R]:
 
-    phi   = (1/hbar) * integral of p(x)
-    tau_c = integral of m / p(x)
+    phi   = (1/hbar) * integral of p(x) = sqrt(2m) * integral of sqrt(V - E)
+    tau_c = integral of m / p(x)        = sqrt(m/2) * integral of 1/sqrt(V - E)
 
+``_integrals`` alone applies the mass; families and the panel rule take none.
 p vanishes like a square root at both turning points, so the tau_c integrand
 diverges there (integrably). The substitution x = x_L + (x_R - x_L)*sin^2(t)
 carries dx = (x_R - x_L)*sin(2t)*dt, which cancels that divergence
@@ -89,12 +90,12 @@ def _gauss_legendre_pair(n: int):
 
 
 def _rules(problem: TunnelingProblem, lo: np.ndarray, span: np.ndarray):
-    """phi and tau_c on the theta panels [lo, lo + span] (column vectors) by
-    the n- and 2n-node rules, shape (integral, panel, rule), and the mask of
+    """The unit-mass pair on the theta panels [lo, lo + span] (column vectors)
+    by the n- and 2n-node rules, shape (integral, panel, rule), and the mask of
     nodes whose V - E was clamped to zero, or None where no node was:
     root-tolerance slop in V - E at the turning points is clamped; a deeper
     dip, or a panel clamped at every node, raises."""
-    x_l, w, m = problem.x_left, problem.width, problem.mass
+    x_l, w = problem.x_left, problem.width
     nodes, weights = _gauss_legendre_pair(_ORDER)
     theta = nodes * span
     theta += lo
@@ -135,22 +136,20 @@ def _rules(problem: TunnelingProblem, lo: np.ndarray, span: np.ndarray):
                 f"{head}: V = E there inside the forbidden region, so tau_c diverges"
             )
         np.maximum(d, 0.0, out=d)
-    d *= 2.0 * m
     p = np.sqrt(d, out=d)
     jac = np.multiply(theta, 2.0, out=theta)
     np.sin(jac, out=jac)
     jac *= w
     f = np.empty((2,) + p.shape)
     np.multiply(p, jac, out=f[0])
-    np.multiply(jac, m, out=f[1])
-    f[1] /= np.maximum(p, _P_FLOOR, out=p)
+    np.divide(jac, np.maximum(p, _P_FLOOR, out=p), out=f[1])
     q = f @ weights
     q *= span
     return q, clamped
 
 
 def _panel_rule(problem: TunnelingProblem, quad_tol: float):
-    """(phi, tau_c) by panel Gauss-Legendre, certified to quad_tol.
+    """The unit-mass pair by panel Gauss-Legendre, certified to quad_tol.
 
     Each value is the 2n-node sum over the panels, and its error estimate is
     |Q_2n - Q_n| summed over the panels, so panel errors cannot cancel in
@@ -208,10 +207,11 @@ _last = None  # (problem, quad_tol, (phi, tau_c)) of the last _integrals call
 
 
 def _integrals(problem: TunnelingProblem, quad_tol: float):
-    """(phi, tau_c): exact where the barrier family has a closed form for
-    the window, else certified to quad_tol by the panel rule; kept for the
-    problem object, so that compute_wkb computes them once. A closed form
-    that leaves the float range raises DomainError."""
+    """(phi, tau_c): sqrt(2m) and sqrt(m/2) times the unit-mass pair, exact
+    where the family has a closed form for the window, else certified to
+    quad_tol by the panel rule; kept for the problem object, so that
+    compute_wkb computes them once. A result past the float range raises
+    DomainError. sqrt(2m) = 2 sqrt(m/2) comes from whichever of 2m, m/2 is exact."""
     global _last
     last = _last
     if last is not None and last[0] is problem and last[1] == quad_tol:
@@ -221,11 +221,14 @@ def _integrals(problem: TunnelingProblem, quad_tol: float):
         raise DomainError(f"quad_tol must lie in [{lo:g}, {hi:g}], got {quad_tol}")
     if problem.width == 0.0:
         return 0.0, 0.0
-    result = problem.barrier.closed_form(problem.energy, problem.x_left, problem.x_right, problem.mass)
-    if result is None:
-        result = _panel_rule(problem, quad_tol)
-    elif not (math.isfinite(result[0]) and math.isfinite(result[1])):
-        raise DomainError(f"closed-form (phi, tau_c) = {result} leave the float range")
+    pair = problem.barrier.closed_form(problem.energy, problem.x_left, problem.x_right)
+    if pair is None:
+        pair = _panel_rule(problem, quad_tol)
+    m = problem.mass
+    root_2m = math.sqrt(2.0 * m) if m < 1.0 else 2.0 * math.sqrt(0.5 * m)
+    result = root_2m * pair[0], 0.5 * root_2m * pair[1]
+    if not (math.isfinite(result[0]) and math.isfinite(result[1])):
+        raise DomainError(f"(phi, tau_c) = {result} leave the float range")
     _last = problem, quad_tol, result
     return result
 

@@ -1,13 +1,17 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tunneltimes import wkb
 from tunneltimes.cli import main
+from tunneltimes.potentials import Triangular
 from tunneltimes.times import triangular_scalings
+from tunneltimes.turning import resolve_problem
 from tunneltimes.units import angstrom_to_au, ev_to_au
+from tunneltimes.wkb import compute_wkb
 
 
 def run_cli(argv, capsys):
@@ -286,6 +290,31 @@ class TestTimes:
         assert (rc, out) == (3, "")
         assert err == ("error: DomainError: rectangular times leave the float range "
                        "at E = 4.149430639092227e-68\n")
+
+    def test_truncated_ramp_past_an_intermediate_overflow(self, capsys):
+        # 2 m (V - E) overflows at V0 = 1e300 and m = 1e8, though phi and tau_c
+        # do not: exit 0 without a warning, at the ramp's integrals by mpmath
+        v0, slope, length, energy, mass = 1e300, 1e-8, 6.5e-31, 5e-324, 1e8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(
+                ["times", "--barrier", "triangular", "--v0", "1e300", "--slope", "1e-8",
+                 "--length", "6.5e-31", "--energy", "5e-324", "--mass", "1e8"],
+                capsys,
+            )
+            got = compute_wkb(resolve_problem(Triangular(v0, slope, length), energy, mass))
+        assert (rc, err) == (0, "")
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            gap = lambda x: mp.mpf(v0) - mp.mpf(slope) * x - mp.mpf(energy)
+            m = mp.mpf(mass)
+            phi = float(mp.sqrt(2 * m) * mp.quad(lambda x: mp.sqrt(gap(x)), [0, length]))
+            tau_c = float(mp.sqrt(m / 2) * mp.quad(lambda x: 1 / mp.sqrt(gap(x)), [0, length]))
+        assert (got.phi, got.tau_c) == pytest.approx((phi, tau_c), rel=1e-13, abs=0.0)
+        kv = parse_kv(out)
+        # the CLI prints 12 digits
+        assert float(kv["phi"]) == pytest.approx(phi, rel=1e-11, abs=0.0)
+        assert float(kv["tau_c_au"]) == pytest.approx(tau_c, rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("argv", [
         ["times", "--barrier", "rect", "--energy", "0.5"],

@@ -80,8 +80,10 @@ def rect_problem(v0=1.0, length=2.0, energy=0.5, mass=1.0):
 
 def panel_values(problem, quad_tol=QUAD_TOL_DEFAULT):
     """The panel rule's (phi, tau_c), even where the family has a closed
-    form; with no_fallback, the first pass alone must meet quad_tol."""
-    return wkb._panel_rule(problem, quad_tol)
+    form, with the mass applied; with no_fallback, the first pass alone must
+    meet quad_tol."""
+    u, v = wkb._panel_rule(problem, quad_tol)  # the unit-mass pair
+    return math.sqrt(2.0 * problem.mass) * u, math.sqrt(0.5 * problem.mass) * v
 
 
 def two_humps(knots, gap, quad_tol):
@@ -90,7 +92,7 @@ def two_humps(knots, gap, quad_tol):
     xs = np.linspace(-8.0, 8.0, knots)
     vs = np.exp(-((xs - 2.0) ** 2)) + np.exp(-((xs + 2.0) ** 2))
     problem = resolve_problem(Tabulated(xs, vs), float(vs[knots // 2]) - gap)
-    return wkb._panel_rule(problem, quad_tol)
+    return panel_values(problem, quad_tol)
 
 
 class TestActionPhi:
@@ -297,7 +299,7 @@ class TestConstantChargeClosedForm:
         if isinstance(window, str):
             x_l, x_r = barrier.turning_points(energy)
             window = (x_l, math.nextafter(x_r, 0.0) if window == "shifted" else x_r)
-        assert barrier.closed_form(energy, *window, 1.0) is None
+        assert barrier.closed_form(energy, *window) is None
 
 
 class TestClosedFormsInTheFloatRange:
@@ -307,11 +309,14 @@ class TestClosedFormsInTheFloatRange:
         with pytest.raises(DomainError, match="leave the float range"):
             compute_wkb(problem)
 
-    def test_rectangle_classical_time_overflow_refused(self):
-        # the true tau_c is about 4.2e-123; mass / (2 d) overflows on the way
-        problem = resolve_problem(Rectangular(2e-208, 1e-310), 7e-232, 7e167)
-        with pytest.raises(DomainError, match="leave the float range"):
-            classical_time(problem)
+    def test_rectangle_classical_time_past_an_intermediate_overflow(self):
+        # m / (2 d) overflows, though tau_c = w sqrt(m / (2 d)) is about 4.2e-123
+        mp = pytest.importorskip("mpmath")
+        v0, length, energy, mass = 2e-208, 1e-310, 7e-232, 7e167
+        with mp.workdps(40):
+            want = mp.mpf(length) * mp.sqrt(mp.mpf(mass) / (2 * (mp.mpf(v0) - mp.mpf(energy))))
+        problem = resolve_problem(Rectangular(v0, length), energy, mass)
+        assert classical_time(problem) == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
 
 class TestPanelRule:
@@ -337,7 +342,8 @@ class TestPanelRule:
         p = TunnelingProblem(0.5, 1.0, Rectangular(1.0, 2.0), 0.3, 1.7)
         phi, tau_c = panel_values(p, 1e-13)
         q = compute_wkb(p)
-        assert (q.phi, q.tau_c) == p.barrier.closed_form(0.5, 0.3, 1.7, 1.0)
+        phi_1, tau_c_1 = p.barrier.closed_form(0.5, 0.3, 1.7)
+        assert (q.phi, q.tau_c) == (math.sqrt(2.0) * phi_1, math.sqrt(0.5) * tau_c_1)
         assert q.phi == pytest.approx(phi, rel=1e-13)
         assert q.tau_c == pytest.approx(tau_c, rel=1e-13)
 
@@ -348,7 +354,7 @@ class TestPanelRule:
     def test_full_ramp_closed_form_matches_adaptive(self, v0, slope, length, energy):
         ramp = Triangular(v0, slope, length)
         p = resolve_problem(ramp, energy)
-        assert ramp.closed_form(energy, p.x_left, p.x_right, p.mass) is not None
+        assert ramp.closed_form(energy, p.x_left, p.x_right) is not None
         q = compute_wkb(p)
         assert q.phi == pytest.approx(mapped_quad(p, False, 1e-13), rel=1e-13)
         assert q.tau_c == pytest.approx(mapped_quad(p, True, 1e-13), rel=1e-13)
