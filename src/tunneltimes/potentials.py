@@ -13,12 +13,13 @@ per turning point from a point of the family's choosing where V > E, or
 raises OverBarrier, and returns each as (f, lo, hi), f being V - E as the
 family writes it on that bracket, without ``potential``'s domain checks;
 then ``closed_form`` and ``panel_edges`` for the unit-mass barrier integrals
-(wkb applies the mass), exact (a window inside a rectangle, a full ramp, a
+(wkb applies the mass), exact (a window inside a rectangle or a ramp, a
 constant charge's full window) or by quadrature; ``transmission`` for p_t,
 rho = exp(-2 phi)/p_t and the phase and dwell times (exact, times included,
-for a rectangle); and ``oracle_slices`` for the transfer-matrix oracle. The
-base class ``Barrier`` supplies the defaults: no closed form, no inner panel
-edges, and the WKB transmission 1/cosh^2(phi) without phase or dwell times.
+for a rectangle); and ``oracle_frame``, the oracle's support and leads. The
+base class ``Barrier`` supplies no closed form, no inner panel edges, the
+WKB p_t = 1/cosh^2(phi) without times, and ``oracle_slices``: V at the
+midpoints of the oracle's slices, read through ``eval_potential``.
 Effective-charge models are callables: ``model(x)`` is Z_eff(x), and the SAE
 peak is the zero of V', with Z_eff' from ``SaeZeff.derivative``.
 ``potential`` and the models take a float, an int or a numpy array; a
@@ -93,9 +94,6 @@ def _float_or_array(v):
     return v if getattr(v, "ndim", 0) else float(v)
 
 
-_ONE_PANEL = ()
-
-
 def _doubling(d: float, span: float):
     """Offsets into a window of length span of panel edges that double in
     length away from a singularity d beyond the window's near end.
@@ -158,12 +156,6 @@ def _elliptic_e_g(a: float, b: float):
         s += w * c * c
     k = 0.5 * math.pi / an
     return k * (1.0 - 0.5 * m - s), k * (0.5 * m * m - (2.0 - m) * s)
-
-
-def _midpoints(a: float, b: float, slices: int):
-    """Slice width and slice midpoints of [a, b]."""
-    h = (b - a) / slices
-    return h, a + h * (np.arange(slices) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -254,12 +246,19 @@ class Barrier:
 
     def panel_edges(self, energy: float, lo: float, hi: float):
         """Interior x in (lo, hi) where the integrals start a new panel."""
-        return _ONE_PANEL
+        return ()
 
     def transmission(self, energy: float, phi: float, tau_c: float, mass: float):
         """(p_t, rho = exp(-2 phi)/p_t, phase time, dwell time) at action phi
         and classical time tau_c; a time without a closed form is None."""
         return pt_wkb(phi), _rho_wkb(phi), None, None
+
+    def oracle_slices(self, slices: int):
+        """(slice width, lead levels, V at the slice midpoints) for the
+        oracle, over the family's ``oracle_frame`` (a, b, left, right lead)."""
+        a, b, v_left, v_right = self.oracle_frame()
+        h = (b - a) / slices
+        return h, v_left, v_right, eval_potential(self, a + h * (np.arange(slices) + 0.5))
 
 
 @dataclass(frozen=True)
@@ -324,11 +323,8 @@ class Rectangular(Barrier):
         _check_tunneling(energy, self.v0)
         return 0.0, self.length
 
-    def oracle_slices(self, slices: int):
-        """(slice width, left and right lead levels, V at the slice
-        midpoints) for the transfer-matrix oracle."""
-        h, _ = _midpoints(0.0, self.length, slices)
-        return h, 0.0, 0.0, np.full(slices, float(self.v0))
+    def oracle_frame(self):
+        return 0.0, self.length, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -356,20 +352,30 @@ class Triangular(Barrier):
         return 0.0, self.v0
 
     def closed_form(self, energy: float, x_left: float, x_right: float):
-        # exact on the whole ramp, from the support edge to the ramp's own
-        # root, where V - E falls from d = v0 - E to zero: the unit-mass
-        # pair is (2/3) k d and 2 k, k = sqrt(d) / slope. A ramp cut short
-        # by the support stays with the panel rule
-        if x_left == 0.0 < x_right == (self.v0 - energy) / self.slope <= self.length:
-            k = math.sqrt(self.v0 - energy) / self.slope
-            return (2.0 / 3.0) * k * (self.v0 - energy), 2.0 * k
-        return None
+        # exact on any window of the support up to the ramp's root: with ra,
+        # rb = sqrt(V - E) at its ends, the unit-mass pair over width w is
+        # (2/3) w (ra^2 + ra rb + rb^2)/(ra + rb), written so that no square
+        # overflows, and 2 w/(ra + rb); up to the root turning_points gives,
+        # rb = 0 and w = d/slope, d = ra^2
+        root = (self.v0 - energy) / self.slope
+        if not (0.0 <= x_left < x_right <= root and x_right <= self.length):
+            return None
+        if not self.v0 - energy < math.inf:
+            raise DomainError(f"V - E leaves the float range at E = {energy}")
+        d = self.v0 - energy if x_left == 0.0 else self._gap(energy, x_left)
+        if x_right == root:
+            k = math.sqrt(d) / self.slope
+            return (2.0 / 3.0) * k * d, 2.0 * k
+        ra, rb = math.sqrt(d), math.sqrt(self._gap(energy, x_right))
+        s, w = ra + rb, x_right - x_left
+        return ((2.0 / 3.0) * (ra * (ra / s) + rb) * w, 2.0 / s * w) if s > 0.0 else None
 
-    def panel_edges(self, energy: float, lo: float, hi: float):
-        # a ramp cut short by the support leaves sqrt(V - E) a branch point
-        # at the ramp's own root, d beyond the window
-        d = (self.v0 - energy) / self.slope - hi
-        return [hi - r for r in reversed(_doubling(d, hi - lo))] if d > 0.0 else _ONE_PANEL
+    def _gap(self, energy: float, x: float) -> float:
+        """V - E at x, or 0 where negative, rounded once from its exact value:
+        floats are integer ratios, and int / int rounds correctly."""
+        ratios = (t.as_integer_ratio() for t in (self.v0, energy, self.slope, x))
+        (a, p), (b, q), (c, r), (d, s) = ratios
+        return max(((a * q - b * p) * r * s - c * d * p * q) / (p * q * r * s), 0.0)
 
     def turning_points(self, energy: float):
         # the entry is the support edge; the exit is the ramp's linear root
@@ -377,9 +383,7 @@ class Triangular(Barrier):
         _check_tunneling(energy, self.v0)
         return 0.0, min((self.v0 - energy) / self.slope, self.length)
 
-    def oracle_slices(self, slices: int):
-        h, mids = _midpoints(0.0, self.length, slices)
-        return h, 0.0, 0.0, self.v0 - self.slope * mids
+    oracle_frame = Rectangular.oracle_frame
 
 
 @dataclass(frozen=True)
@@ -432,7 +436,7 @@ class LaserCoulomb(Barrier):
         # V has a pole at x = 0, a distance lo before the window: one panel
         # converges too slowly once hi/lo is large. A window reaching x <= 0
         # is rejected by the integrand itself
-        return [lo + r for r in _doubling(lo, hi - lo)] if lo > 0.0 else _ONE_PANEL
+        return [lo + r for r in _doubling(lo, hi - lo)] if lo > 0.0 else ()
 
     def closed_form(self, energy: float, x_left: float, x_right: float):
         # a constant Z_eff on the window of its own quadratic's roots a < b,
@@ -473,10 +477,8 @@ class LaserCoulomb(Barrier):
         # halving (doubling) away from the split must find V < E
         return (f, *_walk_down(f, x, 0.5)), (f, *_walk_down(f, x, 2.0))
 
-    def oracle_slices(self, slices: int):
-        raise DomainError(
-            "the scattering oracle is not offered for the laser-Coulomb barrier"
-        )
+    def oracle_frame(self):
+        raise DomainError("the scattering oracle is not offered for the laser-Coulomb barrier")
 
 
 def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -644,10 +646,9 @@ class Tabulated(Barrier):
 
         return bracket(j), bracket(k - 1)
 
-    def oracle_slices(self, slices: int):
+    def oracle_frame(self):
         # flat leads at the edge samples
-        h, mids = _midpoints(float(self.x[0]), float(self.x[-1]), slices)
-        return h, float(self.v[0]), float(self.v[-1]), self.potential(mids)
+        return self._knots[0], self._knots[-1], self._samples[0], self._samples[-1]
 
 
 def tabulated_from_file(path) -> Tabulated:

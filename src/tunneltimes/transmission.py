@@ -1,14 +1,15 @@
 """Transmission probabilities: exact rectangular, WKB, and a numeric oracle.
 
 The oracle solves the stationary scattering problem by slicing the barrier
-into piecewise-constant segments (Ko & Inkson, PRB 38, 9945 (1988)). Each
-slice has a real 2x2 propagator of (psi, psi'); their ordered product is
-evaluated as a tree, pairwise in about log2(slices) vectorized steps, with
-every matrix kept as an offset from the identity. The product is matched to
-plane waves in the two flat leads. The oracle exists to audit the closed
-forms on rectangular, triangular, and bounded tabulated barriers; it is not
-offered for the laser-Coulomb potential, which is unbounded below downfield
-and has no propagating asymptotic state there.
+into piecewise-constant segments at the family's own V, read at the slice
+midpoints by ``Barrier.oracle_slices`` (Ko & Inkson, PRB 38, 9945 (1988)).
+Each slice has a real 2x2 propagator of (psi, psi'); their ordered product
+is evaluated as a tree, pairwise in about log2(slices) vectorized steps, with
+every matrix kept as an offset from the identity, and matched to plane
+waves in the two flat leads. The oracle exists to audit the closed forms on
+rectangular, triangular, and bounded tabulated barriers; it is not offered
+for the laser-Coulomb potential, which is unbounded below downfield and has
+no propagating asymptotic state there.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ def pt_numeric(
     DomainError
         Fewer than 64 or more than 2**20 slices requested, a non-positive
         or non-finite mass, a non-finite energy, an excluded barrier family,
-        or a propagator product that overflows (barrier action beyond about
-        709).
+        a lead wavenumber that underflows to 0, or a propagator product that
+        overflows (an action beyond about 709, or V past the float range).
     """
     if not _MIN_SLICES <= slices <= _MAX_SLICES:
         raise DomainError(f"need {_MIN_SLICES} to {_MAX_SLICES} slices, got {slices}")
@@ -160,19 +161,16 @@ def pt_numeric(
         raise DomainError(f"mass must be positive and finite, got {mass}")
     if not math.isfinite(energy):
         raise DomainError(f"energy must be finite, got {energy}")
-    h, v_left, v_right, vs = b.oracle_slices(slices)
-    kin_l = energy - v_left
-    kin_r = energy - v_right
-    if kin_l <= 0.0 or kin_r <= 0.0:
-        raise EvanescentLead(
-            f"lead kinetic energies ({kin_l:.6g}, {kin_r:.6g}) must be positive"
-        )
-    k_l = math.sqrt(2.0 * mass * kin_l)
-    k_r = math.sqrt(2.0 * mass * kin_r)
-
-    # an opaque barrier overflows the product; that is rejected below
-    # rather than warned about
+    # V past the float range at a slice, or an opaque barrier's product, is refused below
     with np.errstate(all="ignore"):
+        h, v_left, v_right, vs = b.oracle_slices(slices)
+        kin_l, kin_r = energy - v_left, energy - v_right
+        if kin_l <= 0.0 or kin_r <= 0.0:
+            raise EvanescentLead(
+                f"lead kinetic energies ({kin_l:.6g}, {kin_r:.6g}) must be positive")
+        k_l, k_r = math.sqrt(2.0 * mass * kin_l), math.sqrt(2.0 * mass * kin_r)
+        if k_l == 0.0 or k_r == 0.0:
+            raise DomainError(f"a lead wavenumber underflows: 2 m (E - V) = 0 at m = {mass}")
         d = _tree_product(_slice_offsets(2.0 * mass * (energy - vs), h))
     if not np.isfinite(d).all():
         raise DomainError(

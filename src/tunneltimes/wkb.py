@@ -13,17 +13,17 @@ carries dx = (x_R - x_L)*sin(2t)*dt, which cancels that divergence
 analytically; after the map both integrands are bounded and smooth.
 
 A barrier family that knows both integrals in closed form for the window
-(``closed_form``: any window inside a rectangle, a ramp up to its own root,
-or the full window of a constant-charge Coulomb barrier, by complete
-elliptic integrals) gives them exactly. Every other window is integrated by
-fixed-order Gauss-Legendre panels on the mapped variable, with one potential
-evaluation at all nodes serving both integrals. Both come from one call, kept
-for the last problem object, so classical_time after action_phi is a lookup.
-The barrier's ``panel_edges`` set the panels: one per
-knot interval for a tabulated barrier, whose PCHIP interpolant is a cubic on
-each interval but only C^1 across knots; panels that double in length away
-from the pole at x = 0 of the laser-Coulomb barrier or the root of a
-triangular ramp cut short by its support; a single panel otherwise. Each panel
+(``closed_form``: any window inside a rectangle or inside a ramp up to its
+root, or the full window of a constant-charge Coulomb barrier, by complete
+elliptic integrals) gives them exactly. Every other window, in practice an
+SAE or a tabulated barrier's, is integrated by fixed-order Gauss-Legendre
+panels on the mapped variable, with one potential evaluation at all nodes
+serving both integrals. Both come from one call, kept for the last problem
+object, so classical_time after action_phi is a lookup. The barrier's
+``panel_edges`` set the panels: one per knot interval for a tabulated
+barrier, whose PCHIP interpolant is a cubic on each interval but only C^1
+across knots; panels that double in length away from the pole at x = 0 of the
+laser-Coulomb barrier; a single panel otherwise. Each panel
 is evaluated at n and 2n nodes, and the 2n results are accepted when, for
 both integrals, the sum is finite and the summed per-panel differences stay
 within quad_tol of it. That one test is made after the first pass and after

@@ -240,6 +240,18 @@ ERRORS = {
 }
 
 
+# oracle inputs once outside the contract: 2 m E underflows to a zero lead
+# wavenumber (a ZeroDivisionError), and V = v0 - slope x overflows at the
+# slice midpoints (a RuntimeWarning)
+ORACLE_EDGES = [
+    ["oracle", "--barrier=rect", "--v0=9.450941278816645e-281",
+     "--length=0.0012792028148535816", "--energy=5.0057672604812484e-281",
+     "--mass=5.0181987083555164e-170"],
+    ["oracle", "--barrier=triangular", "--v0=0.0163", "--slope=1.7e308", "--length=29.86",
+     "--energy=0.02"],
+]
+
+
 @pytest.mark.parametrize("command", ["times", "table1", "he-scan", "et-scan", "oracle"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -247,11 +259,14 @@ def test_cli_exits_0_2_or_3(root, command, data):
     options = command_options(command, root)
     absent = data.draw(st.sets(st.sampled_from(sorted(options)), max_size=2), label="absent")
     wild = data.draw(st.sets(st.sampled_from(sorted(options)), max_size=2), label="wild")
-    argv = [command]
-    for option, (plausible, anything) in options.items():
-        if option not in absent:
-            value = data.draw(anything if option in wild else plausible, label=option)
-            argv.append(f"{option}={value}")
+    if command == "oracle" and data.draw(st.booleans(), label="edge"):
+        argv = data.draw(st.sampled_from(ORACLE_EDGES), label="argv")
+    else:
+        argv = [command]
+        for option, (plausible, anything) in options.items():
+            if option not in absent:
+                value = data.draw(anything if option in wild else plausible, label=option)
+                argv.append(f"{option}={value}")
     target = next((a.split("=", 1)[1] for a in argv if a.startswith("--output=")), None)
     if target is not None and os.path.isfile(target):
         os.remove(target)  # left by an earlier run

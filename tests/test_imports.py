@@ -36,14 +36,14 @@ STEPS = {
     "rect": ["times", "--barrier", "rect", "--v0", "1", "--length", "2", "--energy", "0.5"],
     "triangular": ["times", "--barrier", "triangular", "--v0", "1", "--slope", "0.25",
                    "--length", "4", "--energy", "0.5"],
+    "triangular-truncated": ["times", "--barrier", "triangular", "--v0", "1", "--slope", "0.25",
+                             "--length", "1", "--energy", "0.5"],
     "laser-kullie": ["times", "--barrier", "laser-coulomb", "--field", "0.05",
                      "--zeff", "kullie", "--energy", "-0.904"],
     "et-scan": ["et-scan", "--length-steps", "6"],
     "he-scan-closed": ["he-scan", "--models", "kullie,clementi", "--steps", "3"],
     "laser-sae": ["times", "--barrier", "laser-coulomb", "--field", "0.05",
                   "--zeff", "sae", "--energy", "-0.904"],
-    "triangular-truncated": ["times", "--barrier", "triangular", "--v0", "1", "--slope", "0.25",
-                             "--length", "1", "--energy", "0.5"],
     "oracle": ["oracle", "--barrier", "rect", "--v0", "1", "--length", "2", "--energy", "0.5"],
     "table1": ["table1"],
     "he-scan": ["he-scan", "--steps", "3"],
@@ -186,8 +186,9 @@ def refused(steps):
 
 
 ALL_STEPS = ["import", *STEPS, "tabulated", "humps"]
-CLOSED_FORM_STEPS = ["import", "rect", "triangular", "laser-kullie", "et-scan", "he-scan-closed"]
-ARRAY_STEPS = ["laser-sae", "triangular-truncated", "tabulated", "table1", "he-scan", "oracle"]
+CLOSED_FORM_STEPS = ["import", "rect", "triangular", "triangular-truncated", "laser-kullie",
+                     "et-scan", "he-scan-closed"]
+ARRAY_STEPS = ["laser-sae", "tabulated", "table1", "he-scan", "oracle"]
 
 
 def scipy_part(result):

@@ -1,12 +1,13 @@
 """Property tests of times_report: the entropic time's sign is the one that
-positivity_flag states, on rectangles and constant-charge Coulomb barriers."""
+positivity_flag states, on rectangles, full and truncated ramps and
+constant-charge Coulomb barriers."""
 
 import math
 
 import pytest
 
 from tunneltimes.errors import TunnelTimesError
-from tunneltimes.potentials import ConstantZeff, LaserCoulomb, Rectangular
+from tunneltimes.potentials import ConstantZeff, LaserCoulomb, Rectangular, Triangular
 from tunneltimes.stattherm import PHI_STAR
 from tunneltimes.times import times_report
 from tunneltimes.turning import resolve_problem
@@ -46,6 +47,34 @@ def test_rectangle_ett_sign_matches_positivity_flag(v0, ratio, phi, mass):
     length = phi / math.sqrt(2.0 * mass * (v0 - energy))
     assume(0.0 < energy and 0.0 < length < math.inf)
     assert_sign_matches_flag(Rectangular(v0, length), energy, mass)
+
+
+def assert_ramp_sign_matches_flag(v0, ratio, phi, mass, reach):
+    # a slope that gives about the drawn action on a support that ends at
+    # reach times the ramp's root, which holds 1 - (1 - reach)^1.5 of the
+    # full ramp's action when reach < 1
+    energy = ratio * v0
+    d = v0 - energy
+    share = 1.0 - (1.0 - min(reach, 1.0)) ** 1.5
+    slope = math.sqrt(2.0 * mass) * (2.0 / 3.0) * d * math.sqrt(d) * share / phi
+    assume(0.0 < energy and 0.0 < slope < math.inf)
+    length = reach * d / slope
+    assume(0.0 < length < math.inf)
+    assert_sign_matches_flag(Triangular(v0, slope, length), energy, mass)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v0=log_uniform(1e-6, 1e6), ratio=FRACTION, phi=PHI_TARGET, mass=log_uniform(1e-3, 1e4),
+       reach=st.floats(1.0, 4.0))
+def test_full_ramp_ett_sign_matches_positivity_flag(v0, ratio, phi, mass, reach):
+    assert_ramp_sign_matches_flag(v0, ratio, phi, mass, reach)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v0=log_uniform(1e-6, 1e6), ratio=FRACTION, phi=PHI_TARGET, mass=log_uniform(1e-3, 1e4),
+       reach=FRACTION)
+def test_truncated_ramp_ett_sign_matches_positivity_flag(v0, ratio, phi, mass, reach):
+    assert_ramp_sign_matches_flag(v0, ratio, phi, mass, reach)
 
 
 @settings(max_examples=300, deadline=None)

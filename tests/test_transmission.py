@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +190,19 @@ class TestNumericOracle:
         assert res.p_t == 0.0
         assert len(recwarn) == 0
 
+    def test_lead_wavenumber_underflow_refused(self):
+        # both lead energies are positive, but 2 m E underflows, so k_l = 0
+        with pytest.raises(DomainError, match="lead wavenumber underflows"):
+            pt_numeric(Rectangular(9.450941278816645e-281, 0.0012792028148535816),
+                       5.0057672604812484e-281, 5.0181987083555164e-170)
+
+    def test_ramp_past_the_float_range_at_a_slice_refused_quietly(self):
+        # slope * x overflows at the slice midpoints, so V = -inf there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                pt_numeric(Triangular(0.0163, 1.7e308, 29.86), 0.02)
+
     def test_slice_midpoint_at_the_energy(self):
         # with an odd count the middle slice of this ramp sits exactly at
         # E, where the slice propagator is [[1, h], [0, 1]]
@@ -250,3 +265,52 @@ class TestOracleReferences:
         res = pt_numeric(barrier, energy, slices=slices)
         assert abs(res.p_t - p_t) <= 1e-12 * p_t
         assert abs(res.p_r - p_r) <= 1e-12 * p_r
+
+
+def written_slices(b, slices):
+    """The oracle's slices as each family once wrote V itself: the box's v0,
+    the ramp's v0 - slope x and the table's interpolant at the midpoints."""
+    if isinstance(b, Tabulated):
+        a, z, leads = float(b.x[0]), float(b.x[-1]), (float(b.v[0]), float(b.v[-1]))
+    else:
+        a, z, leads = 0.0, b.length, (0.0, 0.0)
+    h = (z - a) / slices
+    mids = a + h * (np.arange(slices) + 0.5)
+    if isinstance(b, Rectangular):
+        vs = np.full(slices, float(b.v0))
+    elif isinstance(b, Triangular):
+        vs = b.v0 - b.slope * mids
+    else:
+        vs = b.potential(mids)
+    return (h, *leads, vs)
+
+
+def seeded_oracle_problems(count=24, seed=3):
+    rng = random.Random(seed)
+    for i in range(count):
+        v0, length = rng.uniform(0.5, 2.0), 10 ** rng.uniform(-0.3, 1.6)
+        frac = rng.uniform(0.05, 0.95)
+        slices = rng.choice([64, 1001, DEFAULT_SLICES])
+        if i % 3 == 0:
+            yield Rectangular(v0, length), frac * v0, slices
+        elif i % 3 == 1:
+            slope = (1 - frac) * v0 / (length * rng.uniform(0.3, 2.0))
+            yield Triangular(v0, slope, length), frac * v0, slices
+        else:
+            xs = np.linspace(-length, length, rng.choice([8, 200]))
+            table = Tabulated(xs, v0 / np.cosh(xs) ** 2)
+            yield table, max(frac * v0, 1.5 * float(table.v[0])), slices
+
+
+class TestOracleSlicesReadThePotential:
+    @pytest.mark.parametrize("barrier, energy, slices", list(seeded_oracle_problems()))
+    def test_bit_identical_to_the_written_slices(self, monkeypatch, barrier, energy, slices):
+        # V read through the family's potential gives the very floats each
+        # family once wrote for the oracle, so p_t and p_r keep every bit
+        got = pt_numeric(barrier, energy, slices=slices)
+        mine = barrier.oracle_slices(slices)
+        old = written_slices(barrier, slices)
+        assert mine[:3] == old[:3] and np.array_equal(mine[3], old[3])
+        monkeypatch.setattr(type(barrier), "oracle_slices", written_slices)
+        want = pt_numeric(barrier, energy, slices=slices)
+        assert (got.p_t, got.p_r) == (want.p_t, want.p_r)

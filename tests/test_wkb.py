@@ -1,6 +1,8 @@
 import math
+import random
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +304,90 @@ class TestConstantChargeClosedForm:
         assert barrier.closed_form(energy, *window) is None
 
 
+def ramp_reference(v0, slope, length, energy, mass=1.0):
+    """phi and tau_c of Triangular(v0, slope, length) at 40 digits, the floats
+    taken as exact, over [0, w], w = min(root, length). With d = V - E at 0
+    and rest at w they are sqrt(2m) (2/3) w (d + sqrt(d rest) + rest)/(sqrt(d)
+    + sqrt(rest)) and sqrt(2m) w/(sqrt(d) + sqrt(rest)), which do not cancel
+    as d^1.5 - rest^1.5 does."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        v0, slope, length, energy, mass = map(mp.mpf, (v0, slope, length, energy, mass))
+        d = v0 - energy
+        w, rest = (length, d - slope * length) if d / slope > length else (d / slope, 0)
+        s2m, sum_roots = mp.sqrt(2 * mass), mp.sqrt(d) + mp.sqrt(rest)
+        phi = s2m * 2 * w * (d + mp.sqrt(d * rest) + rest) / (3 * sum_roots)
+        return float(phi), float(s2m * w / sum_roots)
+
+
+class TestRampClosedForm:
+    @pytest.mark.parametrize(
+        "v0, slope, length, energy, mass",
+        [
+            (1.0, 0.25, 4.0, 0.5, 1.0),  # full
+            (1.0, 0.2, 1.5, 0.3, 1.0),  # truncated
+            (1.0, 0.25, 1.5, 0.5, 1836.15),
+            (1.7611870358684913, 0.4027403462582623, 3.6649615658314723,
+             0.2850962342515535, 1.0),  # ends 4e-5 of the root short of it
+            (1.0, 0.25, 2.0 * (1.0 - 1e-12), 0.5, 1.0),
+            (1.0, 0.25, math.nextafter(2.0, 0.0), 0.5, 1.0),  # one ulp short
+            (1e300, 1e-8, 6.5e-31, 5e-324, 1e8),  # 2 m (V - E) overflows
+            (1.56e-109, 1.46e199, 1.8e-280, 1.559e-109, 1.0),  # subnormal root
+        ],
+    )
+    def test_matches_mpmath(self, v0, slope, length, energy, mass):
+        q = compute_wkb(resolve_problem(Triangular(v0, slope, length), energy, mass))
+        phi, tau_c = ramp_reference(v0, slope, length, energy, mass)
+        assert q.phi == pytest.approx(phi, rel=1e-15, abs=0.0)
+        assert q.tau_c == pytest.approx(tau_c, rel=1e-15, abs=0.0)
+
+    def test_seeded_ramps_match_mpmath(self):
+        # the benchmark's ramps: the root at 0.3 to 2 lengths, so full and
+        # truncated ramps alternate, at unit and at wild masses
+        rng = random.Random(11)
+        for i in range(200):
+            v0, length = rng.uniform(0.5, 2.0), 10 ** rng.uniform(math.log10(0.5), math.log10(40.0))
+            frac, mass = rng.uniform(0.05, 0.95), 10 ** rng.uniform(-300, 300) if i % 2 else 1.0
+            slope = (1 - frac) * v0 / (length * rng.uniform(0.3, 2.0))
+            q = compute_wkb(resolve_problem(Triangular(v0, slope, length), frac * v0, mass))
+            phi, tau_c = ramp_reference(v0, slope, length, frac * v0, mass)
+            assert q.phi == pytest.approx(phi, rel=1e-15, abs=0.0)
+            assert q.tau_c == pytest.approx(tau_c, rel=1e-15, abs=0.0)
+
+    def test_root_past_the_float_range(self):
+        # (v0 - E)/slope overflows, but V - E on the support does not
+        q = compute_wkb(resolve_problem(Triangular(1e300, 1e-10, 1.0), 0.5))
+        phi, tau_c = ramp_reference(1e300, 1e-10, 1.0, 0.5)
+        assert q.phi == pytest.approx(phi, rel=1e-15, abs=0.0)
+        assert q.tau_c == pytest.approx(tau_c, rel=1e-15, abs=0.0)
+
+    def test_ramp_of_subnormal_width_reports_quietly(self):
+        problem = resolve_problem(Triangular(174.3677613659157, 0.49834162096036433, 5e-324),
+                                  22.18307377286827, 1.5500943504288656)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = times_report(problem)
+        phi, tau_c = ramp_reference(174.3677613659157, 0.49834162096036433, 5e-324,
+                                    22.18307377286827, 1.5500943504288656)
+        # tau_c is below the smallest subnormal, and phi a few of them
+        assert (report.tau_c, report.ett) == (0.0, 0.0) and tau_c < 2.5e-324
+        assert report.phi == pytest.approx(phi, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "window, energy",
+        [((1.0, 1.0), 0.5), ((0.0, 2.5), 0.5), ((-1.0, 1.0), 0.5), ((0.0, 5.0), 0.1),
+         ((0.0, 1.0), 1.5), ((0.0, 1.0), math.nan), ((0.0, math.nan), 0.5)],
+        ids=["zero-width", "past-the-root", "left-of-support", "right-of-support",
+             "above-the-top", "nan-energy", "nan-window"],
+    )
+    def test_windows_without_a_closed_form(self, window, energy):
+        assert Triangular(1.0, 0.25, 4.0).closed_form(energy, *window) is None
+
+    def test_infinite_v_minus_e_refused(self):
+        with pytest.raises(DomainError, match="V - E leaves the float range"):
+            Triangular(1.0, 0.25, 4.0).closed_form(-math.inf, 0.0, 1.0)
+
+
 class TestClosedFormsInTheFloatRange:
     def test_constant_charge_action_overflow_refused(self):
         barrier = LaserCoulomb(6.744451725862725e-102, ConstantZeff(4.6500291184773253e285))
@@ -364,7 +450,7 @@ class TestPanelRule:
         [
             (Rectangular(1.0, 2.0), 0.5, False),
             (Triangular(1.0, 0.25, 4.0), 0.5, False),
-            (Triangular(1.0, 0.25, 1.5), 0.5, True),
+            (Triangular(1.0, 0.25, 1.5), 0.5, False),
             (LaserCoulomb(0.05, KULLIE), HE_ENERGY, False),
             (LaserCoulomb(0.05, CLEMENTI), HE_ENERGY, False),
             (LaserCoulomb(0.05, SAE), HE_ENERGY, True),
@@ -540,7 +626,8 @@ class TestPanelRule:
 
     def test_truncated_ramp_graded_toward_its_root(self, no_fallback):
         # the support ends just short of the ramp root, so p stays small but
-        # nonzero at x_R; panels graded toward the root keep the rule exact
+        # nonzero at x_R, where the closed form rounds V - E once from its
+        # exact value
         v0, slope, energy = 1.0, 0.25, 0.5
         for gap in (1e-2, 1e-4, 1e-8):
             length = (v0 - energy) / slope * (1.0 - gap)
@@ -552,9 +639,8 @@ class TestPanelRule:
             assert q.tau_c == pytest.approx(tau_c, rel=1e-10)
 
     def test_ramp_root_far_beyond_the_window(self, no_fallback):
-        # at slope 1e-300 the ramp's root lies 5e299 past the support, so the
-        # graded edges overflow; they fall outside the window, which is one
-        # panel of V = 1
+        # at slope 1e-300 the ramp's root lies 5e299 past the support, so
+        # V = 1 over the whole window to every digit
         q = compute_wkb(resolve_problem(Triangular(1.0, 1e-300, 1.0), 0.5))
         assert (q.phi, q.tau_c) == (pytest.approx(1.0, rel=1e-14), pytest.approx(1.0, rel=1e-14))
 
