@@ -303,12 +303,13 @@ class Rectangular(Barrier):
         phi_e^2 cancels sinh*cosh growth against the p_t decay, and phi_e^2
         against p_t ~ E, so only phi_e divides and tiny energies do not
         underflow."""
-        v0, length = self.v0, self.length
-        p_t, em, one_minus, den = _rectangular_terms(energy, v0, phi)
+        length = self.length
+        p_t, em, one_minus, e, v, den, c = _rectangular_terms(energy, self.v0, phi)
         phi_e2 = 2.0 * mass * energy * length * length
         try:
-            rho = em + v0 * v0 * one_minus * one_minus / (16.0 * energy * (v0 - energy))
-            s = 0.5 * (v0 - energy) / (mass * length * length) * -math.expm1(-4.0 * phi) / den
+            # ratios of terms in e = c E and v = c v0, so c cancels: den carries c^2
+            rho = em + v * v * one_minus * one_minus / (16.0 * e * (v - e))
+            s = 0.5 * (v - e) / (mass * length * length) * -math.expm1(-4.0 * phi) / den * c
             pref = tau_c / (2.0 * phi * phi * math.sqrt(phi_e2))
         except ZeroDivisionError:
             rho = s = pref = math.nan  # refused below
@@ -381,7 +382,12 @@ class Triangular(Barrier):
         # the entry is the support edge; the exit is the ramp's linear root
         # unless the support truncates the ramp first
         _check_tunneling(energy, self.v0)
-        return 0.0, min((self.v0 - energy) / self.slope, self.length)
+        root = (self.v0 - energy) / self.slope
+        if root == 0.0:
+            raise DomainError(
+                f"the ramp's turning point (v0 - E)/slope = {self.v0 - energy!r}/{self.slope!r} "
+                "underflows to 0")
+        return 0.0, min(root, self.length)
 
     oracle_frame = Rectangular.oracle_frame
 

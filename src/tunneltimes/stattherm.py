@@ -65,7 +65,12 @@ def inverse_temperature(phi: float, tau_c: float) -> float:
     Positive exactly when phi > PHI_STAR.
     """
     # B first: it rejects a negative phi before exp(-2 phi) can overflow
-    b = bracket(phi)
+    return _inverse_temperature(phi, tau_c, bracket(phi))
+
+
+def _inverse_temperature(phi: float, tau_c: float, b: float) -> float:
+    """1/(k_B T) at B(phi) = b, for a phi that B has accepted; times_report
+    hands the same b to the entropic time."""
     inv = -2.0 * tau_c * math.exp(-2.0 * phi) * b
     if not math.isfinite(inv):  # a non-finite tau_c, or overflow
         raise DomainError(f"inverse temperature is not finite at tau_c {tau_c}, phi {phi}")

@@ -52,15 +52,21 @@ def _check_under_barrier(energy: float, v0: float):
 
 def _rectangular_terms(energy: float, v0: float, phi: float):
     """pt_rectangular_exact's p_t = g*e^{-2phi} / den, with e^{-2phi},
-    1 - e^{-2phi} (by expm1) and den, which the rectangular times reuse."""
+    1 - e^{-2phi} (by expm1), and e, v and den, which the rectangular times
+    reuse. g and den are formed from e = c E and v = c v0, c a power of two
+    returned with them: 1 while 1e-100 < E < v0 < 1e100, else about 1/v0, so
+    that g and v0^2 stay in the floats. Scaling by c is exact and leaves p_t
+    as it is; it multiplies g and den by c^2."""
     _check_under_barrier(energy, v0)
-    g = 4.0 * energy * (v0 - energy)
+    c = 1.0 if 1e-100 < energy and v0 < 1e100 else math.ldexp(1.0, min(1023, -math.frexp(v0)[1]))
+    e, v = energy * c, v0 * c
+    g = 4.0 * e * (v - e)
     em = math.exp(-2.0 * phi)
     one_minus = -math.expm1(-2.0 * phi)
-    den = g * em + 0.25 * v0 * v0 * one_minus * one_minus
+    den = g * em + 0.25 * v * v * one_minus * one_minus
     if not 0.0 < den < math.inf:
         raise DomainError(f"transmission leaves the float range at E = {energy}, v0 = {v0}")
-    return g * em / den, em, one_minus, den
+    return g * em / den, em, one_minus, e, v, den, c
 
 
 def pt_rectangular_exact(energy: float, v0: float, phi: float) -> float:
@@ -68,7 +74,8 @@ def pt_rectangular_exact(energy: float, v0: float, phi: float) -> float:
 
     Evaluated in the overflow-free form
     g*e^{-2phi} / (g*e^{-2phi} + v0^2 (1-e^{-2phi})^2 / 4), g = 4E(v0-E),
-    valid for any phi >= 0.
+    valid for any phi >= 0, with E and v0 scaled by a power of two outside
+    1e-100 < E < v0 < 1e100 so that g and v0^2 stay in the floats.
     """
     if not phi >= 0.0:
         raise DomainError(f"action phi must be >= 0, got {phi}")

@@ -31,6 +31,8 @@ every bisection: each panel whose difference exceeds its share of the
 budget is bisected, and only the new halves are evaluated, until the test
 passes (Piessens et al., QUADPACK (1983); Gander & Gautschi, BIT 40, 84
 (2000)) or a fixed panel budget is spent and QuadratureFailure is raised.
+A non-finite sum that no clamped node can explain ends the rule at once with
+DomainError: an integrand past the float range, which no bisection mends.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ _ORDER = 16  # Gauss-Legendre nodes per panel; the check rule uses twice as many
 # nodes are interior, but root-tolerance noise can clamp the radicand right
 # next to an endpoint
 _P_FLOOR = 1e-300
+_NORMAL_MIN = 2.2250738585072014e-308  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,8 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
     A new half with a clamped node (p = 0, where both rules would agree on
     nonsense) never converges, and a panel clamped at every node (V = E on a
     plateau, where tau_c diverges, or V - E rounded away at a turning point)
-    raises at once.
+    raises at once. A non-finite sum where no node was ever clamped is an
+    integrand past the float range, which bisection cannot mend: DomainError.
     """
     x_l, w = problem.x_left, problem.width
     inner = problem.barrier.panel_edges(problem.energy, x_l, problem.x_right)
@@ -169,7 +173,8 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
     edges[1:-1] /= w
     np.arcsin(np.sqrt(edges, out=edges), out=edges)
     lo, span = edges[:-1], edges[1:] - edges[:-1]
-    q, _ = _rules(problem, lo[:, None], span[:, None])
+    q, clamped = _rules(problem, lo[:, None], span[:, None])
+    floored = clamped is not None  # a clamped node's 1/_P_FLOOR may overflow; bisection drops it
     value, error = q[..., 1], np.abs(q[..., 1] - q[..., 0])
     limit = lo.size + _PANEL_BUDGET
     while True:
@@ -180,6 +185,10 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
         if (e_phi <= quad_tol * abs(phi) and e_tau_c <= quad_tol * abs(tau_c)
                 and math.isfinite(phi) and math.isfinite(tau_c)):
             return phi, tau_c
+        if not (floored or math.isfinite(phi) and math.isfinite(tau_c)):
+            raise DomainError(
+                f"a panel sum of the unit-mass (phi, tau_c) = ({phi}, {tau_c}) is not finite: "
+                "the integrands leave the float range")
         excess = error / (quad_tol * np.abs(total))[:, None]  # in units of the budget
         worst = np.argmax(excess.max(axis=0))
         split = (excess > span / (0.5 * math.pi)).any(axis=0)
@@ -197,6 +206,7 @@ def _panel_rule(problem: TunnelingProblem, quad_tol: float):
         q, clamped = _rules(problem, new_lo[:, None], new_span[:, None])
         new_error = np.abs(q[..., 1] - q[..., 0])
         if clamped is not None:
+            floored = True
             new_error[:, clamped.any(axis=1)] = math.inf
         lo, span = np.concatenate((lo[keep], new_lo)), np.concatenate((span[keep], new_span))
         value = np.concatenate((value[:, keep], q[..., 1]), axis=1)
@@ -211,7 +221,11 @@ def _integrals(problem: TunnelingProblem, quad_tol: float):
     where the family has a closed form for the window, else certified to
     quad_tol by the panel rule; kept for the problem object, so that
     compute_wkb computes them once. A result past the float range raises
-    DomainError. sqrt(2m) = 2 sqrt(m/2) comes from whichever of 2m, m/2 is exact."""
+    DomainError. A unit-mass value below the normal floats is off by up to
+    half the smallest subnormal; where its mass factor exceeds 2, that error
+    would grow past one subnormal step, so the value is kept as NaN, which
+    action_phi and classical_time refuse. sqrt(2m) = 2 sqrt(m/2) comes from
+    whichever of 2m, m/2 is exact."""
     global _last
     last = _last
     if last is not None and last[0] is problem and last[1] == quad_tol:
@@ -223,24 +237,43 @@ def _integrals(problem: TunnelingProblem, quad_tol: float):
         return 0.0, 0.0
     pair = problem.barrier.closed_form(problem.energy, problem.x_left, problem.x_right)
     if pair is None:
-        pair = _panel_rule(problem, quad_tol)
+        with np.errstate(all="ignore"):  # a non-finite sum is refused, not warned of
+            pair = _panel_rule(problem, quad_tol)
     m = problem.mass
     root_2m = math.sqrt(2.0 * m) if m < 1.0 else 2.0 * math.sqrt(0.5 * m)
-    result = root_2m * pair[0], 0.5 * root_2m * pair[1]
-    if not (math.isfinite(result[0]) and math.isfinite(result[1])):
-        raise DomainError(f"(phi, tau_c) = {result} leave the float range")
+    u_phi, u_tau_c = pair
+    phi, tau_c = root_2m * u_phi, 0.5 * root_2m * u_tau_c
+    if not (math.isfinite(phi) and math.isfinite(tau_c)):
+        raise DomainError(f"(phi, tau_c) = {(phi, tau_c)} leave the float range")
+    if u_phi < _NORMAL_MIN and root_2m > 2.0:
+        phi = math.nan
+    if u_tau_c < _NORMAL_MIN and root_2m > 4.0:
+        tau_c = math.nan
+    result = phi, tau_c
     _last = problem, quad_tol, result
     return result
 
 
+def _underflow(name: str) -> DomainError:
+    return DomainError(
+        f"{name} underflows: its unit-mass integral falls below the normal floats, and the "
+        "mass factor would scale its rounding past one subnormal step")
+
+
 def action_phi(problem: TunnelingProblem, quad_tol: float = QUAD_TOL_DEFAULT) -> float:
     """Dimensionless barrier action Phi = (1/hbar) * int p(x) dx >= 0."""
-    return max(_integrals(problem, quad_tol)[0], 0.0)
+    phi = _integrals(problem, quad_tol)[0]
+    if phi != phi:
+        raise _underflow("phi")
+    return max(phi, 0.0)
 
 
 def classical_time(problem: TunnelingProblem, quad_tol: float = QUAD_TOL_DEFAULT) -> float:
     """Classical tunneling time tau_c = int m dx / p(x), in a.u."""
-    return _integrals(problem, quad_tol)[1]
+    tau_c = _integrals(problem, quad_tol)[1]
+    if tau_c != tau_c:
+        raise _underflow("tau_c")
+    return tau_c
 
 
 def dphi_dE(

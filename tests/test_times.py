@@ -5,6 +5,7 @@ import pytest
 
 from tunneltimes.errors import DomainError, RegimeError
 from tunneltimes.potentials import (
+    CLEMENTI,
     KULLIE,
     SAE,
     Barrier,
@@ -15,6 +16,7 @@ from tunneltimes.potentials import (
 )
 from tunneltimes.stattherm import PHI_STAR, bracket, inverse_temperature
 from tunneltimes.times import (
+    _ett,
     dwell_time_rectangular,
     ett_general,
     ett_he,
@@ -27,7 +29,7 @@ from tunneltimes.times import (
 )
 from tunneltimes.transmission import pt_rectangular_exact, pt_wkb
 from tunneltimes.turning import resolve_problem
-from tunneltimes.wkb import QUAD_TOL_DEFAULT
+from tunneltimes.wkb import QUAD_TOL_DEFAULT, action_phi, classical_time
 
 from quadref import mapped_quad
 
@@ -230,10 +232,12 @@ class TestTriangularScalings:
             triangular_scalings(1.0, 0.5, 0.0, 4.0)
 
     def test_root_underflowing_to_the_support_edge_is_zero(self):
-        # (v0 - E)/field underflows to 0: a zero-width window, not None
+        # (v0 - E)/field underflows to the support edge x = 0: the window has
+        # no float end, so the ramp refuses it rather than report width 0
         args = (7.065801873723301e-195, 1e-300, 8.668968103196274e229, 2.0,
                 1.1992419133293476e-82)
-        assert triangular_scalings(*args) == (0.0, 0.0)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            triangular_scalings(*args)
 
 
 HELPERS = [
@@ -278,7 +282,43 @@ class TestHelpersReadThePipeline:
         assert dwell_time_rectangular(*args) == report.dwell_time
 
 
+def seeded_problems(count=12, seed=30):
+    """count seeded problems of each family: rectangles, full and truncated
+    ramps, Kullie, Clementi and SAE barriers, and sech^2 tables, at masses
+    log-uniform over 1e-2..1e2."""
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-8.0, 8.0, 101)
+    for _ in range(count):
+        v0, length = rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(-0.3, 1.6)
+        energy, mass = v0 * rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-2.0, 2.0)
+        root = length * rng.uniform(0.3, 0.95)
+        yield Rectangular(v0, length), energy, mass
+        yield Triangular(v0, (v0 - energy) / root, length), energy, mass
+        yield Triangular(v0, (v0 - energy) / (length / root * length), length), energy, mass
+        field = rng.uniform(0.04, 0.11)
+        for zeff in (KULLIE, CLEMENTI, SAE):
+            yield LaserCoulomb(field, zeff), -0.904, mass
+        yield Tabulated(xs, v0 / np.cosh(xs) ** 2), energy, mass
+
+
+def bits(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
 class TestTimesReport:
+    @pytest.mark.parametrize("barrier, energy, mass", list(seeded_problems()))
+    def test_fields_are_the_public_pieces_bit_for_bit(self, barrier, energy, mass):
+        # the pieces on a problem resolved apart from the report's, so that
+        # neither reads the other's kept integrals
+        pieces = resolve_problem(barrier, energy, mass)
+        phi, tau_c = action_phi(pieces), classical_time(pieces)
+        p_t, rho, phase, dwell = barrier.transmission(energy, phi, tau_c, mass)
+        inv = inverse_temperature(phi, tau_c)
+        want = (_ett(tau_c, rho, bracket(phi)), tau_c, phase, dwell, p_t, phi,
+                1.0 / inv if inv != 0.0 else math.inf, phi > PHI_STAR)
+        report = times_report(resolve_problem(barrier, energy, mass))
+        assert bits(report) == bits(want)
+
     def test_rectangular_report(self):
         report = times_report(resolve_problem(Rectangular(1.0, 2.0), 0.5))
         assert report.phi == pytest.approx(2.0, rel=1e-10)
@@ -316,12 +356,21 @@ class TestTimesReport:
 
     @pytest.mark.parametrize("v0, length, energy, mass", [
         (1.0, 1e-5, 1e-318, 1.0),  # 2 m E L^2 underflows
-        (0.01, 2.0, 5e-324, 1.0),  # 16 E (v0 - E) underflows
         (1.0, 1e-200, 0.5, 1e-200),  # m L^2 underflows
     ])
     def test_box_terms_leaving_the_floats_are_a_domain_error(self, v0, length, energy, mass):
         with pytest.raises(DomainError, match="rectangular times leave the float range"):
             times_report(resolve_problem(Rectangular(v0, length), energy, mass))
+
+    def test_box_entropic_time_past_the_floats_is_a_domain_error(self):
+        # 16 E (v0 - E) is formed from scaled E and v0, so the box terms stay
+        # finite; rho = exp(-2 phi)/p_t, about v0/(16 E), and the ETT do not
+        problem = resolve_problem(Rectangular(0.01, 2.0), 5e-324)
+        p_t, rho, phase, dwell = problem.barrier.transmission(
+            5e-324, action_phi(problem), classical_time(problem), 1.0)
+        assert 0.0 < p_t and math.isfinite(phase) and math.isfinite(dwell) and rho == math.inf
+        with pytest.raises(DomainError, match="entropic time is not finite"):
+            times_report(problem)
 
     def test_kbt_inverts_inverse_temperature(self):
         report = times_report(resolve_problem(Rectangular(1.0, 2.0), 0.5))

@@ -64,12 +64,39 @@ class TestRectangularExact:
 
     @pytest.mark.parametrize("energy, v0, phi", [
         (0.5, math.inf, 1.0),  # was nan
-        (5e-324, 0.125, 0.0),  # 4E(v0 - E) underflows: was ZeroDivisionError
-        (0.5, 1e200, 1.0),  # v0^2 overflows
     ])
     def test_float_range_rejected(self, energy, v0, phi):
         with pytest.raises(DomainError, match="float range"):
             pt_rectangular_exact(energy, v0, phi)
+
+    @pytest.mark.parametrize("energy, v0, phi", [
+        (5e-324, 0.125, 0.0),  # 4E(v0 - E) underflows to 0
+        (0.5, 1e200, 1.0),  # v0^2 overflows
+        (7e-232, 2e-208, 1e-3),  # 4E(v0 - E) underflows, and v0^2 is subnormal
+        (5e299, 1e300, 1.0),  # 4E(v0 - E) overflows
+        (1e-250, 1e-99, 1e-3),  # 4E(v0 - E) underflows under a v0 of normal size
+    ])
+    def test_g_and_v0_squared_past_the_floats(self, energy, v0, phi):
+        # g = 4E(v0 - E) and v0^2 are formed from E and v0 scaled by a power of two
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            e, v = mp.mpf(energy), mp.mpf(v0)
+            want = 1 / (1 + v**2 * mp.sinh(mp.mpf(phi))**2 / (4 * e * (v - e)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pt_rectangular_exact(energy, v0, phi)
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+    def test_normal_range_keeps_its_bits(self):
+        # c = 1 there: the unscaled formula, evaluated in the same order
+        rng = random.Random(30)
+        for _ in range(500):
+            v0 = 10.0 ** rng.uniform(-99.0, 99.0)
+            energy, phi = v0 * rng.uniform(0.01, 0.99), rng.uniform(0.0, 40.0)
+            g = 4.0 * energy * (v0 - energy)
+            em, one_minus = math.exp(-2.0 * phi), -math.expm1(-2.0 * phi)
+            want = g * em / (g * em + 0.25 * v0 * v0 * one_minus * one_minus)
+            assert pt_rectangular_exact(energy, v0, phi) == want
 
 
 class TestWkb:

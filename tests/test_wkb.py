@@ -405,7 +405,52 @@ class TestClosedFormsInTheFloatRange:
         assert classical_time(problem) == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
 
+    @pytest.mark.parametrize("barrier, energy, mass, refused, kept", [
+        # sqrt(d) w and w/sqrt(d): w/sqrt(d) = 1.4e-450, then sqrt(m/2) = 7.1e149;
+        # tau_c = 1e-300, phi = 1
+        (Rectangular(1e300, 1e-300), 5e299, 1e300, "tau_c", 1.0000000000000002),
+        # a truncated ramp whose unit-mass tau_c underflows; tau_c = 2.3e-274
+        (Triangular(4.030106397854087e216, 2.9886751774603917e-281, 4.799028117630726e-277),
+         4.029741828674e216, 1.6159057725883548e218, "tau_c", None),
+        # sqrt(d) w = 1.4e-414 under sqrt(2m) = 1.2e84; tau_c = 4.2e-123 stays
+        (Rectangular(2e-208, 1e-310), 7e-232, 7e167, "phi", 4.183300132670364e-123),
+    ], ids=["rectangle", "truncated-ramp", "rectangle-phi"])
+    def test_unit_pair_underflow_before_the_mass_refused(self, barrier, energy, mass, refused,
+                                                         kept):
+        problem = resolve_problem(barrier, energy, mass)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"{refused} underflows"):
+                compute_wkb(problem)
+            with pytest.raises(DomainError, match=f"{refused} underflows"):
+                times_report(problem)
+            if kept is not None:
+                other = classical_time if refused == "phi" else action_phi
+                assert other(problem) == pytest.approx(kept, rel=1e-15, abs=0.0)
+
+    def test_ramp_root_underflowing_to_zero_refused(self):
+        # (v0 - E)/slope = 5.3e-402 rounds to 0, yet tau_c = 5.8e-260 is normal
+        barrier = Triangular(1.0197316834435322e-283, 3.1602399658658525e117,
+                             1.3562743169284906e177)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="underflows to 0"):
+                resolve_problem(barrier, 8.522561563835673e-284)
+
+
 class TestPanelRule:
+    def test_non_finite_panel_sum_refused_at_once(self, monkeypatch):
+        # x in units of 4.78e296 and V of 8.9e-228: w / sqrt(V - E) overflows
+        passes = count_rules(monkeypatch)
+        xs = np.linspace(-10.0, 10.0, 60)
+        table = Tabulated(xs * 4.78e296, 8.9e-228 / np.cosh(xs) ** 2)
+        problem = resolve_problem(table, 4.31e-228, 11.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                times_report(problem)
+        assert len(passes) == 1
+
     @pytest.mark.parametrize(
         "v0, length, energy", [(1.0, 2.0, 0.5), (2.0, 40.0, 0.1), (0.5, 0.5, 0.45)]
     )
