@@ -7,19 +7,21 @@ immutable value; evaluation is pure. Each family owns its facts: V(x) as
 ``potential``, the maximum as ``peak``, and ``turning_points`` by one rule:
 in closed form where the family has one (the support edges of a rectangle,
 the edge and linear root of a ramp, the quadratic of a constant Z_eff),
-otherwise by a bracketed root solve that reaches the barrier through
-``potential`` and ``root_brackets(energy)``, which walks out to one bracket
-per turning point from a point of the family's choosing where V > E, or
-raises OverBarrier, and returns each as (f, lo, hi), f being V - E as the
-family writes it on that bracket, without ``potential``'s domain checks;
-then ``closed_form`` and ``panel_edges`` for the unit-mass barrier integrals
-(wkb applies the mass), exact (a window inside a rectangle or a ramp, a
-constant charge's full window) or by quadrature; ``transmission`` for p_t,
-rho = exp(-2 phi)/p_t and the phase and dwell times (exact, times included,
-for a rectangle); and ``oracle_frame``, the oracle's support and leads. The
-base class ``Barrier`` supplies no closed form, no inner panel edges, the
-WKB p_t = 1/cosh^2(phi) without times, and ``oracle_slices``: V at the
-midpoints of the oracle's slices, read through ``eval_potential``.
+otherwise by a bracketed root solve on each side of a point where V > E,
+checked through ``potential``: an SAE barrier's ``root_brackets(energy)``
+walks out from its split to one bracket per turning point, or raises
+OverBarrier, and returns each as (f, lo, hi), f being V - E without
+``potential``'s domain checks; a table walks out from its largest sample to
+the knot interval of each turning point and solves that interval's cubic in
+its unit variable u on [0, 1]; then ``closed_form`` and ``panel_edges`` for
+the unit-mass barrier integrals (wkb applies the mass), exact (a window
+inside a rectangle or a ramp, a constant charge's full window) or by
+quadrature; ``transmission`` for p_t, rho = exp(-2 phi)/p_t and the phase
+and dwell times (exact, times included, for a rectangle); and
+``oracle_frame``, the oracle's support and leads. The base class ``Barrier``
+supplies no closed form, no inner panel edges, the WKB p_t = 1/cosh^2(phi)
+without times, and ``oracle_slices``: V at the midpoints of the oracle's
+slices, read through ``eval_potential``.
 Effective-charge models are callables: ``model(x)`` is Z_eff(x), and the SAE
 peak is the zero of V', with Z_eff' from ``SaeZeff.derivative``.
 ``potential`` and the models take a float, an int or a numpy array; a
@@ -38,7 +40,8 @@ from typing import Union
 from ._lazynp import np
 from .errors import BracketFailure, DomainError, NoPeak, OverBarrier
 from .transmission import _rectangular_terms, _rho_wkb, pt_wkb
-from .turning import bracketed_root, turning_points_bracketed, turning_points_quadratic
+from .turning import (_checked_roots, bracketed_root, turning_points_bracketed,
+                      turning_points_quadratic)
 
 __all__ = [
     "ConstantZeff",
@@ -487,39 +490,44 @@ class LaserCoulomb(Barrier):
         raise DomainError("the scattering oracle is not offered for the laser-Coulomb barrier")
 
 
-def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """PCHIP slope at an end knot: the one-sided three-point estimate from the
-    end interval (width h0, secant m0) and its neighbour (h1, m1), reset to
-    zero against the sign of m0 and held to 3*m0 where the secants change
-    sign, so that the end interval stays free of spurious extrema."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
+def _end_ratio(h0: float, h1: float, dv0: float, dv1: float) -> float:
+    """PCHIP slope at an end knot over the end interval's secant: the
+    one-sided three-point estimate from the end interval (width h0, rise dv0)
+    and its neighbour (h1, dv1), 1 + (1 - r) h0/(h0 + h1) with r the ratio of
+    their secants, reset to zero where it points against the end secant and
+    held to 3 where the secants change sign, so that the end interval stays
+    free of spurious extrema. With the secants of one sign it is below 2."""
+    if dv0 == 0.0:
         return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > abs(3.0 * m0):
-        return 3.0 * m0
-    return d
+    e = 1.0 + (1.0 - dv1 / dv0 * (h0 / h1)) / (1.0 + h1 / h0)
+    return min(max(e, 0.0), 3.0)
 
 
 def _pchip(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Power-basis coefficients of the PCHIP through (x, v), shape (4, n):
-    column j < n - 1 holds c0..c3 of c0 + c1 t + c2 t^2 + c3 t^3, t = x - x_j,
-    on knot interval j, and the last column the final sample alone."""
-    h = np.diff(x)
-    m = np.diff(v) / h
-    # interior slopes: the weighted harmonic mean of the neighbouring
-    # secants, zero at a local extremum or next to a flat interval
-    d = np.zeros_like(v)
-    keep = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0)
-    h0, h1, m0, m1 = h[:-1][keep], h[1:][keep], m[:-1][keep], m[1:][keep]
-    w1, w2 = 2.0 * h1 + h0, h1 + 2.0 * h0
-    d[1:-1][keep] = 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2))
-    d[0] = _end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
-    # Hermite data (v, d) at both ends of each interval to the power basis
-    s = (d[:-1] + d[1:] - 2.0 * m) / h
-    coef = np.zeros((4, x.size))
-    coef[:, :-1] = v[:-1], d[:-1], (m - d[:-1]) / h - s, s / h
-    coef[0, -1] = v[-1]
+    """The PCHIP through (x, v), shape (6, n): column j < n - 1 holds x_j,
+    h_j and c0..c3 of c0 + c1 u + c2 u^2 + c3 u^3, u = (x - x_j)/h_j on
+    [0, 1], on knot interval j, and the last column the final knot and sample
+    alone. With a = d_j/m_j and b = d_(j+1)/m_j, the knot slopes over the
+    interval's secant, c1 = a dv, c2 = (3 - 2a - b) dv and c3 = (a + b - 2)
+    dv; a and b come from ratios of neighbouring differences, so no
+    coefficient scales with a power of 1/h."""
+    h, dv = np.diff(x), np.diff(v)
+    # at each interior knot i: r = m_i/m_(i-1) and s = h_i/(h_(i-1) + h_i).
+    # The slope is the weighted harmonic mean of the neighbouring secants,
+    # with weights (1 + s)/3 on m_(i-1) and (2 - s)/3 on m_i, zero at a local
+    # extremum or next to a flat interval
+    r = dv[1:] / dv[:-1] * (h[:-1] / h[1:])
+    s = 1.0 / (1.0 + h[:-1] / h[1:])
+    w0, w1 = (1.0 + s) / 3.0, (2.0 - s) / 3.0
+    keep = (np.sign(dv[1:]) == np.sign(dv[:-1])) & (dv[1:] != 0.0)
+    a, b = np.empty_like(dv), np.empty_like(dv)
+    a[1:] = np.where(keep, 1.0 / (w0 * r + w1), 0.0)
+    b[:-1] = np.where(keep, 1.0 / (w0 + w1 / r), 0.0)
+    a[0] = _end_ratio(h[0], h[1], dv[0], dv[1])
+    b[-1] = _end_ratio(h[-1], h[-2], dv[-1], dv[-2])
+    coef = np.zeros((6, x.size))
+    coef[:, :-1] = x[:-1], h, v[:-1], a * dv, (3.0 - 2.0 * a - b) * dv, (a + b - 2.0) * dv
+    coef[:3, -1] = x[-1], 1.0, v[-1]
     return coef
 
 
@@ -533,7 +541,10 @@ class Tabulated(Barrier):
     Anal. 17, 238 (1980); SIAM J. Sci. Stat. Comput. 5, 300 (1984)): it is
     monotone on every knot interval, so no spurious extrema appear between
     samples and V(x) - E changes sign at most once on each. Every sample is
-    reproduced exactly at its knot.
+    reproduced exactly at its knot. Each interval's cubic is kept in its unit
+    variable u = (x - x_j)/h_j, so scaling x scales nothing but x: samples
+    whose differences of x or V, or the cubics built on them, leave the float
+    range are refused.
     """
 
     x: np.ndarray
@@ -553,7 +564,7 @@ class Tabulated(Barrier):
         with np.errstate(all="ignore"):
             coef = _pchip(x, v)
         if not np.all(np.isfinite(coef)):
-            raise DomainError("samples too steep: the interpolant's coefficients overflow")
+            raise DomainError("the samples' differences, or their cubics, leave the float range")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "_coef", coef)
@@ -561,7 +572,6 @@ class Tabulated(Barrier):
         # the float path works on plain lists: bisect and Horner's rule in
         # Python beat a numpy call on one point
         object.__setattr__(self, "_knots", x.tolist())
-        object.__setattr__(self, "_samples", v.tolist())
         object.__setattr__(self, "_top", int(np.argmax(v)))
         object.__setattr__(self, "_rows", coef.T.tolist())
 
@@ -571,29 +581,28 @@ class Tabulated(Barrier):
             # written so that NaN fails the test
             if not knots[0] <= x <= knots[-1]:
                 raise self._outside(x)
-            j = bisect_right(knots, x) - 1
-            c0, c1, c2, c3 = self._rows[j]
-            t = x - knots[j]
-            return ((c3 * t + c2) * t + c1) * t + c0
-        if not _all((knots[0] <= x) & (x <= knots[-1])):
+            xj, h, c0, c1, c2, c3 = self._rows[bisect_right(knots, x) - 1]
+            u = (x - xj) / h
+            return ((c3 * u + c2) * u + c1) * u + c0
+        # written so that NaN, which min and max propagate, fails the test
+        if not (knots[0] <= x.min() and x.max() <= knots[-1]):
             raise self._outside(x)
         # np.interp against the knot indices finds each point's interval in
         # one pass, but may round a point just below a knot up to that knot
         j = np.interp(x, self.x, self._index).astype(np.intp)
-        xj = self.x.take(j)
+        xj, h, c0, c1, c2, c3 = self._coef.take(j, axis=1)
         low = x < xj
         if low.any():
             j -= low
-            xj = self.x.take(j)
-        t = x - xj
-        c0, c1, c2, c3 = self._coef
-        v = c3.take(j)
-        v *= t
-        v += c2.take(j)
-        v *= t
-        v += c1.take(j)
-        v *= t
-        v += c0.take(j)
+            xj, h, c0, c1, c2, c3 = self._coef.take(j, axis=1)
+        u = x - xj
+        u /= h
+        v = c3 * u
+        v += c2
+        v *= u
+        v += c1
+        v *= u
+        v += c0
         return _float_or_array(v)
 
     def _outside(self, x) -> DomainError:
@@ -609,7 +618,7 @@ class Tabulated(Barrier):
         i = self._top
         if i == 0 or i == self.x.size - 1:
             raise NoPeak("tabulated potential has no interior maximum")
-        return self._knots[i], self._samples[i]
+        return self._knots[i], self._rows[i][2]
 
     def panel_edges(self, energy: float, lo: float, hi: float):
         # the knots strictly inside (lo, hi): the interpolant is one cubic
@@ -617,44 +626,40 @@ class Tabulated(Barrier):
         return self.x[np.searchsorted(self.x, lo, "right"):np.searchsorted(self.x, hi)]
 
     def turning_points(self, energy: float):
-        return turning_points_bracketed(self, energy)
+        return _checked_roots(self, energy, lambda: self._roots(energy))
 
-    def root_brackets(self, energy: float):
+    def _roots(self, energy: float):
         # monotone knot intervals: walking out from the peak sample, the
-        # first sample below E closes the one interval of the turning point
+        # first sample below E closes the one interval of each turning point
         _check_below(energy, self.peak()[1])
-        knots, v, top = self._knots, self._samples, self._top
+        rows, top = self._rows, self._top
         j = top - 1
-        while j >= 0 and not v[j] < energy:
+        while j >= 0 and not rows[j][2] < energy:
             j -= 1
         k = top + 1
-        while k < len(v) and not v[k] < energy:
+        while k < len(rows) and not rows[k][2] < energy:
             k += 1
-        if j < 0 or k == len(v):
+        if j < 0 or k == len(rows):
             raise BracketFailure(
                 "tabulated potential does not drop below E on both sides of the peak"
             )
+        for i in (j, k - 1):
+            # V - E on the interval is its cubic in u, and at u = 1 the next
+            # sample itself; the root maps back to x, u = 1 to the next knot
+            xj, h, c0, c1, c2, c3 = rows[i]
+            x_next, v_next = rows[i + 1][0], rows[i + 1][2]
 
-        def bracket(i):
-            # V - E on knot interval i is its one cubic in t = x - x_i, and at
-            # x_(i+1) the sample itself: what potential gives, without the
-            # range check and the interval search
-            lo, hi, v_hi = knots[i], knots[i + 1], v[i + 1]
-            c0, c1, c2, c3 = self._rows[i]
+            def f(u):
+                if u == 1.0:
+                    return v_next - energy
+                return ((c3 * u + c2) * u + c1) * u + c0 - energy
 
-            def f(x):
-                if x == hi:
-                    return v_hi - energy
-                t = x - lo
-                return ((c3 * t + c2) * t + c1) * t + c0 - energy
-
-            return f, lo, hi
-
-        return bracket(j), bracket(k - 1)
+            u = bracketed_root(f, 0.0, 1.0)
+            yield min(xj + h * u, x_next) if u < 1.0 else x_next
 
     def oracle_frame(self):
         # flat leads at the edge samples
-        return self._knots[0], self._knots[-1], self._samples[0], self._samples[-1]
+        return self._knots[0], self._knots[-1], self._rows[0][2], self._rows[-1][2]
 
 
 def tabulated_from_file(path) -> Tabulated:

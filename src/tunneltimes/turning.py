@@ -4,16 +4,20 @@ Each barrier family's ``turning_points`` follows one rule: a family whose
 turning points have a closed form returns them itself (the support edges of
 a rectangle, the edge and linear root of a ramp, the quadratic roots of a
 constant effective charge, here as ``turning_points_quadratic``); every
-other family goes through ``turning_points_bracketed``, which sees a barrier
-only through its ``potential`` and ``root_brackets``. The family's
-``root_brackets`` finds its own point where V > E, or raises OverBarrier
-when there is none, and returns one bracket (f, lo, hi) on each side of it,
-f being V - E as the family writes it on that bracket (for a tabulated
-barrier, the one cubic of the knot interval); each is solved by one
-``bracketed_root`` call. ``bracketed_root`` is the package's one root solver:
-Chandrupatla's derivative-free hybrid of inverse quadratic interpolation and
-bisection (Adv. Eng. Softw. 28, 145 (1997)), which also finds the SAE peak,
-PHI_STAR and the entropy maximum.
+other family solves one bracket on each side of a point where V > E, and
+``_checked_roots`` accepts each root at |V(x) - E| <= ROOT_TOL through the
+family's ``potential``. The SAE barrier, like any family that writes
+``root_brackets``, goes through ``turning_points_bracketed``, which sees it
+only through ``potential`` and ``root_brackets``: the family finds its own
+point where V > E, or raises OverBarrier when there is none, and returns
+one bracket (f, lo, hi) on each side of it, f being V - E as the family
+writes it on that bracket. A tabulated barrier solves the cubic of each
+crossing knot interval in its unit variable u on [0, 1], so the solver's
+stop is relative to the interval, and maps the root back to x. Each bracket
+is solved by one ``bracketed_root`` call. ``bracketed_root`` is the
+package's one root solver: Chandrupatla's derivative-free hybrid of inverse
+quadratic interpolation and bisection (Adv. Eng. Softw. 28, 145 (1997)),
+which also finds the SAE peak, PHI_STAR and the entropy maximum.
 """
 
 import math
@@ -174,12 +178,26 @@ def turning_points_bracketed(b: "Barrier", energy: float):
     NoConvergence
         A root misses the residual |V(x) - E| <= ROOT_TOL.
     """
-    # no bracket holds a NaN or infinite energy; say so, not that none was found
+    return _checked_roots(b, energy, lambda: (bracketed_root(*r) for r in b.root_brackets(energy)))
+
+
+def _checked_roots(b: "Barrier", energy: float, solve):
+    """(x_L, x_R), the two roots that solve() yields in turn, each accepted
+    at |V(x) - E| <= ROOT_TOL through the barrier's ``potential``, which
+    solve's own V - E may skip; a NaN or infinite E is refused before solve
+    is called, since no bracket holds it.
+
+    Raises
+    ------
+    DomainError
+        E is NaN or infinite.
+    NoConvergence
+        A root misses the residual |V(x) - E| <= ROOT_TOL.
+    """
     if not math.isfinite(energy):
         raise DomainError(f"energy must be finite, got {energy}")
     roots = []
-    for f, lo, hi in b.root_brackets(energy):
-        root = bracketed_root(f, lo, hi)
+    for root in solve():
         if abs(b.potential(root) - energy) > ROOT_TOL:
             raise NoConvergence(f"root residual at x = {root} exceeds {ROOT_TOL:g}")
         roots.append(root)

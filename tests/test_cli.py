@@ -50,8 +50,17 @@ def pchip_integrals_mp(xs, vs, energy, precise=()):
         return v
 
     def add(ctx, v, a, b, sums):
-        sums[0] += ctx.quad(lambda x: ctx.sqrt(2 * (v(x) - energy)), [a, b])
-        sums[1] += ctx.quad(lambda x: 1 / ctx.sqrt(2 * (v(x) - energy)), [a, b])
+        # V - E may round below 0 at a node next to a turning point, where
+        # sqrt would turn complex: clamp it, and give 1/sqrt 0 there
+        def gap(x):
+            return max(v(x) - energy, 0)
+
+        def inverse_root(x):
+            d = gap(x)
+            return 1 / ctx.sqrt(2 * d) if d > 0 else 0
+
+        sums[0] += ctx.quad(lambda x: ctx.sqrt(2 * gap(x)), [a, b])
+        sums[1] += ctx.quad(inverse_root, [a, b])
 
     peak = int(np.argmax(vs))
     below = np.flatnonzero(vs < energy)

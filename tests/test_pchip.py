@@ -5,13 +5,17 @@ independently, so it serves as the reference here; the package itself never
 imports it.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from test_cli import pchip_integrals_mp
 from tunneltimes.errors import DomainError
 from tunneltimes.potentials import Tabulated
+from tunneltimes.times import times_report
+from tunneltimes.turning import resolve_problem
 
 
 def max_error(xs, vs, points=20001):
@@ -137,7 +141,54 @@ class TestEvaluation:
         assert b.potential(float(xs[0])) == vs[0]
         assert b.potential(float(xs[-1])) == vs[-1]
 
-    def test_overflowing_coefficients_rejected(self):
+    def test_knots_closer_than_any_power_of_the_spacing_allows(self):
+        # h = 1e-300: a cubic in powers of x - x_j would need c3 ~ 1e900
         xs = np.linspace(0.0, 7e-300, 8)
-        with pytest.raises(DomainError, match="too steep"):
-            Tabulated(xs, np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]))
+        vs = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        b = Tabulated(xs, vs)
+        assert np.array_equal(b.potential(xs), vs)
+        assert [b.potential(x) for x in xs.tolist()] == vs.tolist()
+
+    def test_overflowing_coefficients_rejected(self):
+        # V differences of 3e308 leave the float range
+        vs = np.where(np.arange(8) % 2 == 0, 1.5e308, -1.5e308)
+        with pytest.raises(DomainError, match="leave the float range"):
+            Tabulated(np.linspace(0.0, 7.0, 8), vs)
+
+
+class TestUnitsOfX:
+    """x -> lambda x scales the turning points, phi and tau_c by lambda: each
+    interval's cubic is written in its own unit variable, and the roots are
+    solved in it, so nothing depends on the size of the knot spacing."""
+
+    XS = np.linspace(-1.0, 1.0, 60)
+    VS = np.cosh(3.0 * XS) ** -2
+
+    @staticmethod
+    def solve(barrier, energy):
+        problem = resolve_problem(barrier, energy)
+        report = times_report(problem)
+        return problem.x_left, problem.x_right, report.phi, report.tau_c
+
+    @pytest.mark.parametrize("k", [-1000, -300, -27, -7, 10, 365, 1000])
+    def test_power_of_two_scaling_is_exact(self, k):
+        unit, scaled = Tabulated(self.XS, self.VS), Tabulated(np.ldexp(self.XS, k), self.VS)
+        for energy in [(5 + 5 * i) / 100 for i in range(19)]:
+            want = [math.ldexp(q, k) for q in self.solve(unit, energy)]
+            assert list(self.solve(scaled, energy)) == want
+
+    @staticmethod
+    @functools.cache
+    def reference():
+        # the 30-digit integrals of the unit table; any other unit scales them
+        energies = np.linspace(0.07, 0.93, 8).tolist()
+        xs, vs = TestUnitsOfX.XS, TestUnitsOfX.VS
+        return [(e, *pchip_integrals_mp(xs, vs, e)) for e in energies]
+
+    @pytest.mark.parametrize("scale", [0.01, 1e-3, 1e110])
+    def test_integrals_match_mpmath_in_any_unit(self, scale):
+        barrier = Tabulated(scale * self.XS, self.VS)
+        for energy, phi, tau_c in self.reference():
+            _, _, got_phi, got_tau_c = self.solve(barrier, energy)
+            assert got_phi == pytest.approx(scale * phi, rel=1e-11)
+            assert got_tau_c == pytest.approx(scale * tau_c, rel=1e-11)

@@ -202,19 +202,22 @@ class TestTabulatedPeakAndBrackets:
             assert b.potential(np.linspace(xs[0], xs[-1], 20001)).max() <= vs[i]
 
     def test_brackets_are_the_crossing_knot_intervals(self):
+        # each root lies in the first knot interval, walking out from the
+        # peak sample, whose samples drop below E
         b = _sech2(101)
         energy = 0.3
-        for (_, lo, hi), rising in zip(b.root_brackets(energy), (True, False)):
-            i = int(np.searchsorted(b.x, lo))
-            assert (b.x[i], b.x[i + 1]) == (lo, hi)
-            below, above = (lo, hi) if rising else (hi, lo)
-            assert b.potential(below) < energy <= b.potential(above)
+        top = int(np.argmax(b.v))
+        below = np.flatnonzero(b.v < energy)
+        left, right = below[below < top][-1], below[below > top][0]
+        x_l, x_r = b.turning_points(energy)
+        assert b.x[left] < x_l <= b.x[left + 1]
+        assert b.x[right - 1] <= x_r < b.x[right]
 
     def test_bracket_failure_without_a_crossing(self):
         xs = np.linspace(0.0, 1.0, 10)
         b = Tabulated(xs, 1.0 - (xs - 0.2) ** 2)
         with pytest.raises(BracketFailure):
-            b.root_brackets(0.5)
+            b.turning_points(0.5)
 
 
 class TestBarrierPeak:

@@ -339,7 +339,7 @@ class TestBracketed:
         s = math.sqrt(0.704**2 - 4.0 * 0.04 * 1.375)
         ref_l = (0.704 - s) / 0.08
         ref_r = (0.704 + s) / 0.08
-        x_l, x_r = turning_points_bracketed(b, 0.2)
+        x_l, x_r = b.turning_points(0.2)
         assert x_l == pytest.approx(ref_l, abs=5e-4)
         assert x_r == pytest.approx(ref_r, abs=5e-4)
 
